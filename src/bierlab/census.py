@@ -18,19 +18,18 @@ from functools import lru_cache
 from .complexes import (
     Complex,
     are_isomorphic,
-    boundary_simplex,
+    canonical_form,
     canonical_key,
-    canonical_representative,
     cone,
     cycle,
     drop_ghosts,
+    format_key,
     is_flag,
     make_complex,
     minimal_nonfaces,
     suspension,
 )
 from .duality import (
-    _points_count,
     alexander_dual,
     bier_sphere,
     classify_bier,
@@ -40,6 +39,8 @@ from .errors import InvalidInput, ResourceLimit
 from .facevectors import f_vector, gamma_vector, h_vector, is_dehn_sommerville, realize_gamma_as_flag_f
 from .multicomplexes import (
     Multicomplex,
+    _box,
+    _divides,
     bier_relabeling_to_murai,
     classify_murai,
     multicomplex_of_complex,
@@ -63,17 +64,22 @@ from .complexes import Isomorphism
 # enumeration
 
 
-def _antichains_of_masks(masks: list[int]):
-    """All antichains (possibly empty) of the given subset masks, DFS."""
-    n = len(masks)
+def _antichains(items, below):
+    """Every antichain of ``items`` (the empty one first), depth first, each
+    as a tuple in list order.  ``below(a, b)`` means a <= b in the poset.
 
-    def rec(start: int, chosen: tuple[int, ...]):
+    ``items`` must list the poset in a linear extension (a < b puts a
+    first), so a new item can only lie above an earlier one and testing
+    ``below(chosen, new)`` suffices.
+    """
+
+    def rec(start: int, chosen: tuple):
         yield chosen
-        for i in range(start, n):
-            s = masks[i]
-            if any(c & s == c for c in chosen):
+        for i in range(start, len(items)):
+            x = items[i]
+            if any(below(c, x) for c in chosen):
                 continue
-            yield from rec(i + 1, chosen + (s,))
+            yield from rec(i + 1, chosen + (x,))
 
     yield from rec(0, ())
 
@@ -82,9 +88,8 @@ def all_labeled_complexes(m: int, include_simplex: bool = True) -> list[Complex]
     """Every simplicial complex on [m], the void complex included."""
     if m > 5:
         raise ResourceLimit("labeled enumeration is doubly exponential; need m <= 5")
-    masks = list(range(1, 1 << m))
     out = []
-    for chain in _antichains_of_masks(masks):
+    for chain in _antichains(range(1, 1 << m), lambda a, b: a & b == a):
         k = Complex(m, chain if chain else (0,))
         if not include_simplex and k.facets == ((1 << m) - 1,):
             continue
@@ -94,11 +99,11 @@ def all_labeled_complexes(m: int, include_simplex: bool = True) -> list[Complex]
 
 @lru_cache(maxsize=None)
 def _iso_classes(m: int, include_simplex: bool) -> tuple[Complex, ...]:
-    seen: dict[str, Complex] = {}
+    seen: dict[str, tuple[int, tuple[int, ...]]] = {}
     for k in all_labeled_complexes(m, include_simplex):
-        rep = canonical_representative(k)
-        seen.setdefault(canonical_key(rep), rep)
-    return tuple(seen[key] for key in sorted(seen))
+        form = canonical_form(k)
+        seen.setdefault(format_key(*form), form)
+    return tuple(Complex(*seen[key]) for key in sorted(seen))
 
 
 def enumerate_complexes(
@@ -111,35 +116,16 @@ def enumerate_complexes(
     return all_labeled_complexes(m, include_simplex)
 
 
-def _box_masks(c: tuple[int, ...]) -> list[tuple[int, ...]]:
-    vecs = list(itertools.product(*(range(ci + 1) for ci in c)))
-    vecs.sort(key=lambda a: (sum(a), a))
-    return vecs
-
-
 def enumerate_multicomplexes(c) -> list[Multicomplex]:
     """Every proper multicomplex with the given caps, exactly once."""
     c = tuple(c)
     if sum(c) > 5:
         raise ResourceLimit("multicomplex enumeration needs |c| <= 5")
-    vecs = _box_masks(c)
-    out = []
-
-    def dominated(a, chosen):
-        return any(all(x <= y for x, y in zip(a, g)) or
-                   all(y <= x for x, y in zip(a, g)) for g in chosen)
-
-    def rec(start: int, chosen: tuple):
-        if chosen and chosen != (c,):
-            out.append(Multicomplex(c, tuple(sorted(chosen))))
-        for i in range(start, len(vecs)):
-            a = vecs[i]
-            if dominated(a, chosen):
-                continue
-            rec(i + 1, chosen + (a,))
-
-    rec(0, ())
-    return out
+    return [
+        Multicomplex(c, tuple(sorted(chosen)))
+        for chosen in _antichains(_box(c), _divides)
+        if chosen and chosen != (c,)
+    ]
 
 
 def compositions(total: int) -> list[tuple[int, ...]]:
@@ -288,8 +274,14 @@ def _census_no_simplex(m: int) -> list[Complex]:
 
 
 @lru_cache(maxsize=None)
-def _sphere_key(k: Complex) -> str:
-    return canonical_key(drop_ghosts(bier_sphere(k)))
+def _bier_spheres(m: int) -> tuple[tuple[Complex, Complex, str], ...]:
+    """(K, ghost-free Bier sphere, its canonical key) for each class of the
+    census on [m], in census order."""
+    out = []
+    for k in _census_no_simplex(m):
+        sphere = drop_ghosts(bier_sphere(k))
+        out.append((k, sphere, canonical_key(sphere)))
+    return tuple(out)
 
 
 # ---------------------------------------------------------------------------
@@ -307,8 +299,7 @@ def _suite_bier_1dim(seed: int, sample) -> VerificationReport:
         ([[1], [2], [3]], 6),
     ]
     found = {}
-    for k in _census_no_simplex(3):
-        key = _sphere_key(k)
+    for k, _sphere, key in _bier_spheres(3):
         gon = polygon_keys.get(key)
         suite.check(gon is not None, {"complex": k.facet_sets(), "sphere": key})
         if gon is not None:
@@ -316,7 +307,7 @@ def _suite_bier_1dim(seed: int, sample) -> VerificationReport:
             found[gon] += 1
     for gens, gon in named:
         k = make_complex(3, gens)
-        got = polygon_keys.get(_sphere_key(k))
+        got = polygon_keys.get(canonical_key(drop_ghosts(bier_sphere(k))))
         suite.check(got == gon, {"generators": gens, "expected": gon, "got": got})
     suite.details["classes"] = sorted(found)
     suite.check(sorted(found) == [3, 4, 5, 6], {"classes": sorted(found)})
@@ -326,9 +317,8 @@ def _suite_bier_1dim(seed: int, sample) -> VerificationReport:
 def _suite_bier_13types(seed: int, sample) -> VerificationReport:
     suite = _Suite("bier-13types")
     spheres: dict[str, Complex] = {}
-    for k in _census_no_simplex(4):
-        sphere = drop_ghosts(bier_sphere(k))
-        spheres.setdefault(canonical_key(sphere), sphere)
+    for _k, sphere, key in _bier_spheres(4):
+        spheres.setdefault(key, sphere)
     for key, sphere in sorted(spheres.items()):
         suite.check(
             sphere.dim == 2 and homology_sphere_check(sphere, 3),
@@ -373,12 +363,26 @@ def _murai_census(total: int):
     return tuple((key[0], classes[key][0], classes[key][1]) for key in order)
 
 
+@lru_cache(maxsize=None)
+def _murai_spheres(total: int):
+    """The rows of ``_murai_census(total)``, each extended by its ghost-free
+    sphere and that sphere's canonical key.  Rows with isomorphic spheres
+    share one sphere and one key object."""
+    first: dict[str, tuple[Complex, str]] = {}
+    rows = []
+    for caps, m, multiplicity in _murai_census(total):
+        sphere = drop_ghosts(murai_sphere(m))
+        key = canonical_key(sphere)
+        rows.append((caps, m, multiplicity) + first.setdefault(key, (sphere, key)))
+    return tuple(rows)
+
+
 def _suite_flag_murai(seed: int, sample) -> VerificationReport:
     suite = _Suite("flag-murai")
     kinds: dict[str, int] = {}
     one_dim_classes: set[str] = set()
     for total in (2, 3, 4):
-        for _, m, multiplicity in _murai_census(total):
+        for _, m, multiplicity, _sphere, key in _murai_spheres(total):
             cls = classify_murai(m)
             if not cls.flag:
                 continue
@@ -388,7 +392,7 @@ def _suite_flag_murai(seed: int, sample) -> VerificationReport:
                 label = f"{cls.flag_kind.family}:n={cls.flag_kind.n}"
                 kinds[label] = kinds.get(label, 0) + multiplicity
             if total == 3:
-                one_dim_classes.add(canonical_key(drop_ghosts(murai_sphere(m))))
+                one_dim_classes.add(key)
     expected = {canonical_key(cycle(n)) for n in (4, 5, 6)}
     suite.details["kinds"] = dict(sorted(kinds.items()))
     suite.details["one_dim_class_count"] = len(one_dim_classes)
@@ -421,23 +425,16 @@ def _suite_golod(seed: int, sample) -> VerificationReport:
     outside_k_family = []
     sampled = False
     for m in (3, 4, 5):
-        census = _census_no_simplex(m)
-        if sample is not None and len(census) > sample:
-            census = random.Random(seed).sample(census, sample)
+        table = _bier_spheres(m)
+        if sample is not None and len(table) > sample:
+            table = random.Random(seed).sample(table, sample)
             sampled = True
-        for k in census:
-            dual = alexander_dual(k)
-            sphere = drop_ghosts(bier_sphere(k))
-            key = canonical_key(sphere)
+        for k, sphere, key in table:
             cuts = match_truncation_family(sphere)
             expected_golod = cuts == 0
             expected_min_non = cuts is not None and cuts > 0
-            if k == boundary_simplex(m) or dual == boundary_simplex(m):
-                k_cuts = 0
-            else:
-                k_cuts = _points_count(k)
-                if k_cuts is None:
-                    k_cuts = _points_count(dual)
+            cls = classify_bier(k)
+            k_cuts = 0 if cls.simplex else cls.golod_points
             mismatches = []
             if k_cuts is not None and k_cuts != cuts:
                 mismatches.append({"k_level_cuts": k_cuts, "sphere_cuts": cuts})
@@ -471,30 +468,22 @@ def _suite_golod(seed: int, sample) -> VerificationReport:
     return suite.report()
 
 
-@lru_cache(maxsize=None)
-def _bier_sphere_classes(max_m: int) -> dict[str, Complex]:
+def _sphere_classes() -> dict[str, Complex]:
+    """One ghost-free sphere per isomorphism class, by canonical key, over
+    the Bier spheres with m <= 5 and the Murai spheres with |c| <= 5."""
     out: dict[str, Complex] = {}
-    for m in range(3, max_m + 1):
-        for k in _census_no_simplex(m):
-            sphere = drop_ghosts(bier_sphere(k))
-            out.setdefault(canonical_key(sphere), sphere)
-    return out
-
-
-@lru_cache(maxsize=None)
-def _murai_sphere_classes(max_total: int) -> dict[str, Complex]:
-    out: dict[str, Complex] = {}
-    for total in range(1, max_total + 1):
-        for _, m, _count in _murai_census(total):
-            sphere = drop_ghosts(murai_sphere(m))
-            out.setdefault(canonical_key(sphere), sphere)
+    for m in (3, 4, 5):
+        for _k, sphere, key in _bier_spheres(m):
+            out.setdefault(key, sphere)
+    for total in (1, 2, 3, 4, 5):
+        for *_row, sphere, key in _murai_spheres(total):
+            out.setdefault(key, sphere)
     return out
 
 
 def _suite_dehn_sommerville(seed: int, sample) -> VerificationReport:
     suite = _Suite("dehn-sommerville")
-    spheres = dict(_bier_sphere_classes(5))
-    spheres.update(_murai_sphere_classes(5))
+    spheres = _sphere_classes()
     for key in sorted(spheres):
         suite.check(
             is_dehn_sommerville(spheres[key]),
@@ -508,8 +497,7 @@ def _suite_np_gamma(seed: int, sample) -> VerificationReport:
     """Nevo-Petersen at desk scale: gamma of every flag sphere in scope is
     the f-vector of some flag complex, found by exhaustive search."""
     suite = _Suite("np-gamma")
-    spheres = dict(_bier_sphere_classes(5))
-    spheres.update(_murai_sphere_classes(5))
+    spheres = _sphere_classes()
     for key in sorted(spheres):
         sphere = spheres[key]
         if not is_flag(sphere):
@@ -528,19 +516,15 @@ def _suite_np_gamma(seed: int, sample) -> VerificationReport:
 
 def _suite_murai_sphere(seed: int, sample) -> VerificationReport:
     suite = _Suite("murai-sphere")
-    verdicts: dict[str, bool] = {}
+    verdicts: dict[tuple[int, str], bool] = {}
     labeled = 0
     for total in (1, 2, 3, 4, 5):
-        for caps, m, multiplicity in _murai_census(total):
+        for caps, m, multiplicity, sphere, key in _murai_spheres(total):
             labeled += multiplicity
-            sphere = murai_sphere(m)
-            key = canonical_key(sphere)
-            ok = verdicts.get(key)
+            ok = verdicts.get((total, key))
             if ok is None:
-                ok = sphere.dim == total - 2 and homology_sphere_check(
-                    drop_ghosts(sphere), total - 1
-                )
-                verdicts[key] = ok
+                ok = sphere.dim == total - 2 and homology_sphere_check(sphere, total - 1)
+                verdicts[(total, key)] = ok
             suite.check(ok, {"c": caps, "max_monomials": m.max_monomials})
     suite.details["labeled_multicomplexes"] = labeled
     return suite.report()

@@ -14,7 +14,8 @@ from multiprocessing import Pool
 
 from . import cache as cachemod
 from . import census as censusmod
-from .complexes import canonical_key, drop_ghosts, is_flag, standard_complex
+from .complexes import canonical_key, drop_ghosts, format_key, is_flag, standard_complex
+from .complexes import are_isomorphic, truncation_sphere, vertices_of
 from .cubical import (
     boundary_complex,
     cell_symbol,
@@ -23,7 +24,6 @@ from .cubical import (
     z_complex,
 )
 from .duality import alexander_dual, bier_sphere, classify_bier, reference_flag_sphere
-from .complexes import are_isomorphic, points, truncation_sphere
 from .errors import BierlabError
 from .facevectors import f_vector, gamma_vector, h_vector, is_dehn_sommerville, realize_gamma_as_flag_f
 from .jsonio import complex_to_dict, dump_json, load_complex, load_multicomplex
@@ -127,7 +127,13 @@ def _betti_payload(k, field_tag, run_oracle):
     return payload
 
 
+# Part of every cache key: raise it whenever a payload changes format or
+# meaning, so records written before the change are never served.
+CACHE_FORMAT = 2
+
+
 def _cached(args, key, compute):
+    key = f"v{CACHE_FORMAT}|{key}"
     cache_dir = _cache_dir(args)
     record = cachemod.cache_get(cache_dir, key)
     if record is not None:
@@ -151,13 +157,11 @@ def _classify_payload(k):
             "witness_isomorphism": list(iso.mapping) if iso else None,
         }
     if cls.golod_points is not None:
-        ref = drop_ghosts(bier_sphere(points(cls.golod_points, k.m)))
+        ref = truncation_sphere(k.m, cls.golod_points)
         iso = are_isomorphic(sphere, ref)
         payload["golod_family"] = {
             "cuts": cls.golod_points,
-            "truncation_nerve": complex_to_dict(
-                truncation_sphere(k.m, cls.golod_points)
-            ),
+            "truncation_nerve": complex_to_dict(ref),
             "witness_isomorphism": list(iso.mapping) if iso else None,
         }
     return payload
@@ -204,7 +208,9 @@ def run(argv=None) -> int:
         dump_json(payload, args.out)
     elif cmd == "golod":
         k = load_complex(args.infile)
-        key = f"golod|{canonical_key(k)}|p={args.field}"
+        # witnesses name the input's own vertices, so the record is only
+        # valid for this labeling (betti payloads carry no labels)
+        key = f"golod|{format_key(k.m, k.facets)}|p={args.field}"
 
         def compute():
             golod, min_non = golod_summary(k, field_tag)
@@ -212,8 +218,8 @@ def run(argv=None) -> int:
             payload = _betti_payload(k, field_tag, False)
             payload["witnesses"] = [
                 {
-                    "subset_a": list(_mask_vertices(w.subset_a)),
-                    "subset_b": list(_mask_vertices(w.subset_b)),
+                    "subset_a": list(vertices_of(w.subset_a)),
+                    "subset_b": list(vertices_of(w.subset_b)),
                     "cochain_sizes": [w.size_a, w.size_b],
                     "class_indices": [w.index_a, w.index_b],
                 }
@@ -273,17 +279,6 @@ def run(argv=None) -> int:
         if any(not r.ok for r in reports):
             return 1
     return 0
-
-
-def _mask_vertices(mask: int):
-    out = []
-    v = 1
-    while mask:
-        if mask & 1:
-            out.append(v)
-        mask >>= 1
-        v += 1
-    return out
 
 
 def main():

@@ -266,13 +266,6 @@ def drop_ghosts(k: Complex) -> Complex:
     return full_subcomplex(k, verts)
 
 
-def vertex_mask(k: Complex) -> int:
-    verts = 0
-    for f in k.facets:
-        verts |= f
-    return verts
-
-
 # ---------------------------------------------------------------------------
 # joins, cones, suspensions, stellar subdivisions
 
@@ -524,14 +517,13 @@ def canonical_form(k: Complex) -> tuple[int, tuple[int, ...]]:
     return (m, tuple(best))
 
 
-def canonical_key(k: Complex) -> str:
-    m, masks = canonical_form(k)
+def format_key(m: int, masks) -> str:
+    """Key string of a ground-set size and a facet mask list, e.g. '4|3,6,12'."""
     return f"{m}|" + ",".join(str(x) for x in masks)
 
 
-def canonical_representative(k: Complex) -> Complex:
-    m, masks = canonical_form(k)
-    return Complex(m, masks)
+def canonical_key(k: Complex) -> str:
+    return format_key(*canonical_form(k))
 
 
 # ---------------------------------------------------------------------------

@@ -66,23 +66,21 @@ def gamma_vector(k: Complex) -> tuple[int, ...] | None:
     return tuple(gamma)
 
 
-def _clique_f_vector(n_vertices: int, edge_masks: set[int]) -> tuple[int, ...]:
-    """f-vector of the clique complex of a graph given by its edge masks."""
-    counts = [1, n_vertices]
-    cliques = [1 << v for v in range(n_vertices)]
-    while cliques:
+def _cliques(n_vertices: int, edge_masks: set[int]) -> list[list[int]]:
+    """Nonempty cliques of a graph on [n] given by its edge masks, grouped
+    by size: entry s - 1 lists the s-cliques, ascending."""
+    levels = [[1 << v for v in range(n_vertices)]]
+    while True:
         bigger = set()
-        for c in cliques:
-            top = c.bit_length()
-            for v in range(top, n_vertices):
+        for c in levels[-1]:
+            for v in range(c.bit_length(), n_vertices):
                 b = 1 << v
                 if all((b | (1 << u)) in edge_masks for u in range(n_vertices)
                        if c & (1 << u)):
                     bigger.add(c | b)
-        cliques = sorted(bigger)
-        if cliques:
-            counts.append(len(cliques))
-    return tuple(counts)
+        if not bigger:
+            return levels
+        levels.append(sorted(bigger))
 
 
 def realize_gamma_as_flag_f(gamma, max_vertices: int | None = None) -> Complex | None:
@@ -109,28 +107,13 @@ def realize_gamma_as_flag_f(gamma, max_vertices: int | None = None) -> Complex |
         return None
     for chosen in itertools.combinations(vertex_pairs, want_edges):
         edge_masks = {(1 << (a - 1)) | (1 << (b - 1)) for a, b in chosen}
-        if _clique_f_vector(n, edge_masks) != target:
+        cliques = _cliques(n, edge_masks)
+        if (1,) + tuple(len(level) for level in cliques) != target:
             continue
-        witness = _clique_complex(n, edge_masks)
+        witness = Complex.from_masks(n, itertools.chain.from_iterable(cliques))
         assert f_vector(witness) == target and is_flag(witness)
         return witness
     return None
-
-
-def _clique_complex(n_vertices: int, edge_masks: set[int]) -> Complex:
-    cliques = [1 << v for v in range(n_vertices)]
-    all_cliques = list(cliques)
-    while cliques:
-        bigger = set()
-        for c in cliques:
-            for v in range(c.bit_length(), n_vertices):
-                b = 1 << v
-                if all((b | (1 << u)) in edge_masks for u in range(n_vertices)
-                       if c & (1 << u)):
-                    bigger.add(c | b)
-        cliques = sorted(bigger)
-        all_cliques.extend(cliques)
-    return Complex.from_masks(n_vertices, all_cliques)
 
 
 def h_polynomial_product(h1: tuple[int, ...], h2: tuple[int, ...]) -> tuple[int, ...]:

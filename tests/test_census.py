@@ -4,7 +4,7 @@ import math
 
 import pytest
 
-from bierlab import census
+from bierlab import census, complexes
 from bierlab.census import (
     all_labeled_complexes,
     compositions,
@@ -150,3 +150,35 @@ def test_golod_suite_reports_wrong_verdicts(monkeypatch):
     r = verify("golod", sample=2)
     assert r.instance_count == 6
     assert r.pass_count == 0 and len(r.counterexamples) == r.instance_count
+
+
+def _record_canonical_forms(monkeypatch) -> list:
+    """Route every canonical_form call through a recorder of its argument."""
+    seen = []
+    real = complexes.canonical_form
+
+    def recording(k):
+        seen.append(k)
+        return real(k)
+
+    monkeypatch.setattr(complexes, "canonical_form", recording)
+    monkeypatch.setattr(census, "canonical_form", recording)
+    return seen
+
+
+def test_iso_classes_canonicalize_each_labeled_complex_once(monkeypatch):
+    labeled = all_labeled_complexes(4, include_simplex=False)
+    census._iso_classes.cache_clear()
+    seen = _record_canonical_forms(monkeypatch)
+    assert len(census._iso_classes(4, False)) == 28
+    assert seen == labeled
+
+
+def test_warm_bier_tables_are_not_canonicalized_again(monkeypatch):
+    census_spheres = {
+        sphere for m in (3, 4, 5) for _k, sphere, _key in census._bier_spheres(m)
+    }
+    seen = _record_canonical_forms(monkeypatch)
+    assert verify("bier-13types").ok
+    assert verify("golod", sample=3).ok
+    assert not census_spheres.intersection(seen)

@@ -3,8 +3,13 @@ import os
 
 import pytest
 
+from bierlab.cache import cache_put
+from bierlab.census import enumerate_complexes
 from bierlab.cli import run
+from bierlab.complexes import Isomorphism, canonical_key, drop_ghosts, maps_facets_onto, points
+from bierlab.duality import bier_sphere
 from bierlab.errors import InvalidInput
+from bierlab.jsonio import complex_from_dict, complex_to_dict
 
 
 def read(path):
@@ -33,6 +38,50 @@ def test_classify_emits_tags_and_witnesses(tmp_path):
     assert set(payload["tags"]) == {"golod-family(3)", "flag-family(cube_x_p6, n=0)"}
     assert payload["flag_family"]["witness_isomorphism"] is not None
     assert payload["golod_family"]["cuts"] == 3
+
+
+def test_classify_witnesses_map_onto_printed_references(tmp_path):
+    # each witness carries the input's ghost-free Bier sphere onto the
+    # reference printed beside it, not onto some relabeling of it
+    inputs = [k for m in (3, 4) for k in enumerate_complexes(m, include_simplex=False)]
+    inputs += [points(count, 5) for count in range(1, 6)]
+    checked = set()
+    for i, k in enumerate(inputs):
+        path, out = tmp_path / f"k{i}.json", tmp_path / f"c{i}.json"
+        path.write_text(json.dumps(complex_to_dict(k)))
+        assert run(["classify", "--in", str(path), "--out", str(out)]) == 0
+        payload = read(out)
+        sphere = drop_ghosts(bier_sphere(k))
+        for family, field in (("flag_family", "reference"), ("golod_family", "truncation_nerve")):
+            if family not in payload:
+                continue
+            witness = payload[family]["witness_isomorphism"]
+            assert witness is not None, (k, family)
+            ref = complex_from_dict(payload[family][field])
+            assert maps_facets_onto(Isomorphism(tuple(witness)), sphere, ref), (k, family)
+            checked.add(family)
+    assert checked == {"flag_family", "golod_family"}
+
+
+def test_golod_cache_keeps_each_labeling(tmp_path):
+    # two labelings of the 5-cycle share a canonical key, but a golod
+    # payload names the input's own vertices
+    first, second = tmp_path / "c5.json", tmp_path / "c5b.json"
+    first.write_text(json.dumps({"m": 5, "facets": [[1, 2], [2, 3], [3, 4], [4, 5], [1, 5]]}))
+    second.write_text(json.dumps({"m": 5, "facets": [[1, 3], [3, 5], [2, 5], [2, 4], [1, 4]]}))
+    cache_dir = tmp_path / "cache"
+    # a record under the label-blind key of the earlier cache format
+    stale = f"golod|{canonical_key(complex_from_dict(read(first)))}|p=0"
+    cache_put(str(cache_dir), stale, {"value": {"stale": True}})
+    cached = ["--cache-dir", str(cache_dir)]
+    assert run(["golod", "--in", str(first), "--out", str(tmp_path / "o1.json")] + cached) == 0
+    assert "stale" not in read(tmp_path / "o1.json")
+    assert run(["golod", "--in", str(second), "--out", str(tmp_path / "o2.json")] + cached) == 0
+    assert run(["golod", "--in", str(second), "--no-cache", "--out", str(tmp_path / "ref.json")]) == 0
+    got = read(tmp_path / "o2.json")
+    assert got == read(tmp_path / "ref.json")
+    witness = got["witnesses"][0]
+    assert (witness["subset_a"], witness["subset_b"]) == ([1, 2], [3, 4, 5])
 
 
 def test_betti_and_cache(tmp_path):

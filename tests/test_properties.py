@@ -1,0 +1,69 @@
+"""Property tests: invariants that must hold on every small complex."""
+
+from functools import lru_cache
+
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from bierlab.census import enumerate_complexes
+from bierlab.complexes import (
+    Complex,
+    Isomorphism,
+    are_isomorphic,
+    canonical_form,
+    canonical_key,
+)
+from bierlab.duality import alexander_dual, bier_sphere
+
+SETTINGS = settings(max_examples=60, deadline=None)
+
+
+@st.composite
+def small_complexes(draw, max_m: int = 6, proper: bool = False):
+    """A complex on [m] from random generators; ``proper`` excludes the
+    full simplex, which has no Alexander dual."""
+    m = draw(st.integers(1, max_m))
+    full = (1 << m) - 1
+    gens = draw(st.lists(st.integers(0, full - 1 if proper else full), max_size=6))
+    return Complex.from_masks(m, gens)
+
+
+@st.composite
+def relabeled_pairs(draw):
+    k = draw(small_complexes())
+    perm = Isomorphism(tuple(draw(st.permutations(range(1, k.m + 1)))))
+    return k, Complex.from_masks(k.m, [perm.apply(f) for f in k.facets])
+
+
+@lru_cache(maxsize=None)
+def _classes_by_key(m: int) -> dict:
+    return {canonical_key(rep): rep for rep in enumerate_complexes(m)}
+
+
+@SETTINGS
+@given(relabeled_pairs())
+def test_canonical_key_ignores_relabeling(pair):
+    k, relabeled = pair
+    assert canonical_key(relabeled) == canonical_key(k)
+
+
+@SETTINGS
+@given(small_complexes(max_m=5))
+def test_iso_classes_keep_one_canonical_representative_per_key(k):
+    by_key = _classes_by_key(k.m)
+    assert len(by_key) == len(enumerate_complexes(k.m))
+    rep = by_key[canonical_key(k)]
+    assert Complex(*canonical_form(rep)) == rep
+    assert are_isomorphic(k, rep) is not None
+
+
+@SETTINGS
+@given(small_complexes(proper=True))
+def test_alexander_dual_is_an_involution(k):
+    assert alexander_dual(alexander_dual(k)) == k
+
+
+@SETTINGS
+@given(small_complexes(proper=True))
+def test_bier_sphere_matches_brute_force(k):
+    assert bier_sphere(k) == bier_sphere(k, brute=True)
