@@ -132,9 +132,13 @@ def _betti_payload(k, field_tag, run_oracle):
 CACHE_FORMAT = 2
 
 
-def _cached(args, key, compute):
-    key = f"v{CACHE_FORMAT}|{key}"
+def _cached(args, make_key, compute):
+    """(value, hit); ``make_key`` runs only when the cache is on, since a
+    key can cost a canonical-form search."""
     cache_dir = _cache_dir(args)
+    if not cache_dir:
+        return compute(), False
+    key = f"v{CACHE_FORMAT}|{make_key()}"
     record = cachemod.cache_get(cache_dir, key)
     if record is not None:
         return record["value"], True
@@ -203,14 +207,14 @@ def run(argv=None) -> int:
         )
     elif cmd == "betti":
         k = load_complex(args.infile)
-        key = f"betti|{canonical_key(k)}|p={args.field}|oracle={args.oracle}"
-        payload, _hit = _cached(args, key, lambda: _betti_payload(k, field_tag, args.oracle))
+        payload, _hit = _cached(
+            args,
+            lambda: f"betti|{canonical_key(k)}|p={args.field}|oracle={args.oracle}",
+            lambda: _betti_payload(k, field_tag, args.oracle),
+        )
         dump_json(payload, args.out)
     elif cmd == "golod":
         k = load_complex(args.infile)
-        # witnesses name the input's own vertices, so the record is only
-        # valid for this labeling (betti payloads carry no labels)
-        key = f"golod|{format_key(k.m, k.facets)}|p={args.field}"
 
         def compute():
             golod, min_non = golod_summary(k, field_tag)
@@ -229,7 +233,11 @@ def run(argv=None) -> int:
             payload["min_non_golod"] = min_non
             return payload
 
-        payload, _hit = _cached(args, key, compute)
+        # witnesses name the input's own vertices, so the record is only
+        # valid for this labeling (betti payloads carry no labels)
+        payload, _hit = _cached(
+            args, lambda: f"golod|{format_key(k.m, k.facets)}|p={args.field}", compute
+        )
         dump_json(payload, args.out)
     elif cmd == "faces":
         k = load_complex(args.infile)

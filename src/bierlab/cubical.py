@@ -18,7 +18,7 @@ from fractions import Fraction
 from . import linalg
 from .complexes import Complex, faces, has_face, vertices_of
 from .duality import alexander_dual, bier_sphere
-from .errors import InvalidInput
+from .errors import InvalidInput, ResourceLimit
 
 FIX_NEG, FIX_ZERO, FIX_POS, SPAN_NEG, SPAN_POS = range(5)
 
@@ -255,6 +255,9 @@ def gw_partition_check(
     """
     if resolution < 1:
         raise InvalidInput("resolution must be positive")
+    # far above the census (5^4 grid points) and the CLI default at m = 5 (5^5)
+    if (resolution + 1) ** k.m > 10**6:
+        raise ResourceLimit("gw_partition_check sweeps (resolution+1)^m points; need <= 10^6")
     dual = alexander_dual(k)
     axis = [Fraction(2 * t - resolution, resolution) for t in range(resolution + 1)]
     rng = random.Random(seed)

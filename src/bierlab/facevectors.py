@@ -5,9 +5,10 @@ integer polynomial arithmetic."""
 from __future__ import annotations
 
 import itertools
+import math
 
 from .complexes import Complex, f_vector_counts, is_flag
-from .errors import InvalidInput
+from .errors import InvalidInput, ResourceLimit
 
 
 def _poly_mul(a: list[int], b: list[int]) -> list[int]:
@@ -102,9 +103,13 @@ def realize_gamma_as_flag_f(gamma, max_vertices: int | None = None) -> Complex |
     if n == 0:
         return Complex(0, (0,)) if target == (1,) else None
     want_edges = target[2] if len(target) > 2 else 0
-    vertex_pairs = list(itertools.combinations(range(1, n + 1), 2))
-    if want_edges > len(vertex_pairs):
+    pair_count = math.comb(n, 2)
+    if want_edges > pair_count:
         return None
+    # far above the census (at most 1 candidate edge set) and the tests (20)
+    if math.comb(pair_count, want_edges) > 10**6:
+        raise ResourceLimit("realize_gamma_as_flag_f tries C(C(n,2), f_1) edge sets; need <= 10^6")
+    vertex_pairs = list(itertools.combinations(range(1, n + 1), 2))
     for chosen in itertools.combinations(vertex_pairs, want_edges):
         edge_masks = {(1 << (a - 1)) | (1 << (b - 1)) for a, b in chosen}
         cliques = _cliques(n, edge_masks)

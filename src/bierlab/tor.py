@@ -14,6 +14,7 @@ and vanishing modulo coboundaries is well defined.
 
 from __future__ import annotations
 
+import functools
 import itertools
 from dataclasses import dataclass
 
@@ -43,16 +44,15 @@ GF3 = FieldTag(3)
 
 
 def _group_by_size(face_masks) -> list[list[int]]:
-    """Faces grouped by cardinality in lexicographic vertex order; index s
-    holds the size-s faces."""
+    """Faces grouped by cardinality; index s holds the size-s faces.  The
+    caller passes the faces in lexicographic vertex order (``vertices_of``),
+    which each group keeps."""
     if not face_masks:
         return []
     top = max(f.bit_count() for f in face_masks)
     groups: list[list[int]] = [[] for _ in range(top + 1)]
     for f in face_masks:
         groups[f.bit_count()].append(f)
-    for g in groups:
-        g.sort(key=vertices_of)
     return groups
 
 
@@ -135,14 +135,13 @@ def reduced_cohomology(k: Complex, f: FieldTag = QQ) -> CohomologyBasis:
     The void complex has rank 1 in degree -1.  Ghost ground elements do not
     contribute (cohomology is computed from the faces).
     """
-    groups = _group_by_size(sorted(faces(k)))
-    ranks = _cohomology_ranks(groups, f.p)
-    basis = {}
-    reps = {}
-    for deg, r in ranks.items():
-        basis[deg] = tuple(groups[deg + 1])
-        reps[deg] = [tuple(v) for v in _cocycle_representatives(groups, deg + 1, f.p)]
-        assert len(reps[deg]) == r
+    sc = subset_cohomology(k, f)
+    j_mask = k.full_mask
+    ranks = dict(sc.ranks(j_mask))
+    groups = sc.groups(j_mask)
+    basis = {deg: tuple(groups[deg + 1]) for deg in ranks}
+    reps = {deg: [tuple(v) for v in sc.representatives(j_mask, deg + 1)] for deg in ranks}
+    assert all(len(reps[deg]) == r for deg, r in ranks.items())
     return CohomologyBasis(f, ranks, basis, reps)
 
 
@@ -151,7 +150,8 @@ def homology_sphere_check(k: Complex, n: int) -> bool:
     reduced rational homology of a sphere of dimension n - 1 - |face|."""
     if not is_pure(k) or k.facets[-1].bit_count() != n:
         return False
-    all_faces = sorted(faces(k))
+    # removing sigma from the faces containing it keeps their order
+    all_faces = sorted(faces(k), key=vertices_of)
     for sigma in all_faces:
         s = sigma.bit_count()
         link_faces = [f ^ sigma for f in all_faces if f & sigma == sigma]
@@ -182,12 +182,11 @@ def hochster_betti(k: Complex, f: FieldTag = QQ) -> BigradedBetti:
     full subcomplexes; beta[(0, 0)] = 1 comes from the empty subset."""
     if k.m > 16:
         raise ResourceLimit("hochster_betti sweeps 2^m subsets; need m <= 16")
-    all_faces = sorted(faces(k))
+    sc = subset_cohomology(k, f)
     table: dict[tuple[int, int], int] = {}
     for j_mask in range(1 << k.m):
-        sub_faces = [x for x in all_faces if x & j_mask == x]
         j = j_mask.bit_count()
-        for deg, r in _cohomology_ranks(_group_by_size(sub_faces), f.p).items():
+        for deg, r in sc.ranks(j_mask).items():
             key = (j - deg - 1, 2 * j)
             table[key] = table.get(key, 0) + r
     return BigradedBetti(f, k.m, table)
@@ -275,16 +274,17 @@ class TorWitness:
 class SubsetCohomology:
     """Lazy cohomology data for all full subcomplexes of one complex.
 
-    Shared by the product scans of a complex and of all its deletions: the
-    full subcomplexes of a deletion are exactly the K_J avoiding the deleted
-    element, so one table serves every scan.
+    Shared by the Hochster sweep, the product scans of a complex and of all
+    its deletions: the full subcomplexes of a deletion are exactly the K_J
+    avoiding the deleted element, so one table serves every scan.
     """
 
     def __init__(self, k: Complex, f: FieldTag):
         self.k = k
         self.field = f
         self.p = f.p
-        self._faces = sorted(faces(k))
+        # lexicographic vertex order, so each K_J's groups need no sort
+        self._faces = sorted(faces(k), key=vertices_of)
         self._groups: dict[int, list[list[int]]] = {}
         self._ranks: dict[int, dict[int, int]] = {}
         self._reps: dict[tuple[int, int], list] = {}
@@ -419,19 +419,31 @@ class SubsetCohomology:
         return bool(self.witnesses(allowed, early_exit=True))
 
 
+@functools.lru_cache(maxsize=1)
+def subset_cohomology(k: Complex, f: FieldTag) -> SubsetCohomology:
+    """The table of ``k`` over ``f`` that every entry point of this module reads.
+
+    Keyed by value, so a relabeled complex or another field gets a table of
+    its own.  Callers finish one complex before starting the next, so one
+    slot lets a Betti table, a Golod verdict and the witnesses of the same
+    complex share one sweep, and the next complex evicts the old table.
+    """
+    return SubsetCohomology(k, f)
+
+
 def tor_products(k: Complex, f: FieldTag = QQ) -> list[TorWitness]:
     """All nonvanishing pairwise products between classes of disjoint
     nonempty vertex subsets, in deterministic order."""
     if k.m > 16:
         raise ResourceLimit("product scan sweeps 2^m subsets; need m <= 16")
-    return SubsetCohomology(k, f).witnesses(k.full_mask)
+    return subset_cohomology(k, f).witnesses(k.full_mask)
 
 
 def is_product_golod(k: Complex, f: FieldTag = QQ) -> bool:
     """True iff every pairwise product of positive-degree classes vanishes."""
     if k.m > 16:
         raise ResourceLimit("product scan sweeps 2^m subsets; need m <= 16")
-    return not SubsetCohomology(k, f).has_witness(k.full_mask)
+    return not subset_cohomology(k, f).has_witness(k.full_mask)
 
 
 def is_min_non_golod_product(k: Complex, f: FieldTag = QQ) -> bool:
@@ -444,7 +456,7 @@ def golod_summary(k: Complex, f: FieldTag = QQ) -> tuple[bool, bool]:
     """(product-Golod, minimally-non-Golod at product level), one table."""
     if k.m > 16:
         raise ResourceLimit("product scan sweeps 2^m subsets; need m <= 16")
-    sc = SubsetCohomology(k, f)
+    sc = subset_cohomology(k, f)
     golod = not sc.has_witness(k.full_mask)
     if golod:
         return True, False

@@ -3,6 +3,7 @@ import os
 
 import pytest
 
+from bierlab import complexes
 from bierlab.cache import cache_put
 from bierlab.census import enumerate_complexes
 from bierlab.cli import run
@@ -102,6 +103,22 @@ def test_betti_and_cache(tmp_path):
     out3 = tmp_path / "o3.json"
     assert run(args + ["--no-cache", "--out", str(out3)]) == 0
     assert read(out3) == payload
+
+
+def test_betti_without_cache_builds_no_key(tmp_path, monkeypatch):
+    # the betti key is a canonical-form search, wasted when nothing is cached
+    searched = []
+    real = complexes.canonical_form
+    monkeypatch.setattr(
+        complexes, "canonical_form", lambda k: searched.append(k) or real(k)
+    )
+    k = tmp_path / "k.json"
+    run(["complex", "--build", "cycle:5", "--out", str(k)])
+    args = ["betti", "--in", str(k), "--out", str(tmp_path / "o.json")]
+    assert run(args + ["--no-cache"]) == 0
+    assert searched == []
+    assert run(args + ["--cache-dir", str(tmp_path / "cache")]) == 0
+    assert searched
 
 
 def test_golod_command(tmp_path):

@@ -2,6 +2,7 @@ from fractions import Fraction
 
 import pytest
 
+from bierlab import cubical
 from bierlab.complexes import Complex, cycle, make_complex, points
 from bierlab.cubical import (
     FIX_NEG,
@@ -21,7 +22,7 @@ from bierlab.cubical import (
     z_complex,
 )
 from bierlab.duality import bier_sphere
-from bierlab.errors import InvalidInput
+from bierlab.errors import InvalidInput, ResourceLimit
 
 
 def test_z_complex_of_three_points_is_six_squares():
@@ -119,6 +120,18 @@ def test_point_membership():
         point_membership((2, 0, 0), k, "nonpositive")
     with pytest.raises(InvalidInput):
         point_membership((0, 0, 0), k, "sideways")
+
+
+def test_gw_partition_check_refuses_a_huge_grid_before_sweeping(monkeypatch):
+    def no_work(k):
+        raise AssertionError("the sweep started")
+
+    monkeypatch.setattr(cubical, "alexander_dual", no_work)
+    # 5^9 grid points at the default resolution, 101^3 at resolution 100
+    with pytest.raises(ResourceLimit):
+        gw_partition_check(points(3, 9))
+    with pytest.raises(ResourceLimit):
+        gw_partition_check(points(3, 3), resolution=100)
 
 
 def test_gw_partition_check_counts():

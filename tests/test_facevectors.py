@@ -1,5 +1,6 @@
 import pytest
 
+from bierlab import facevectors
 from bierlab.census import enumerate_complexes
 from bierlab.complexes import (
     Complex,
@@ -12,7 +13,7 @@ from bierlab.complexes import (
     make_complex,
     points,
 )
-from bierlab.errors import InvalidInput
+from bierlab.errors import InvalidInput, ResourceLimit
 from bierlab.facevectors import (
     f_vector,
     gamma_vector,
@@ -68,6 +69,15 @@ def test_realize_gamma_with_edges():
     assert is_flag(w)
     # a bound below the needed vertex count gives up
     assert realize_gamma_as_flag_f((1, 4, 3), max_vertices=3) is None
+
+
+def test_realize_gamma_refuses_a_huge_search_before_starting(monkeypatch):
+    tried = []
+    monkeypatch.setattr(facevectors, "_cliques", lambda n, edges: tried.append(edges))
+    # C(28, 7) = 1,184,040 edge sets on 8 vertices
+    with pytest.raises(ResourceLimit):
+        realize_gamma_as_flag_f((1, 8, 7))
+    assert tried == []
 
 
 def test_h_polynomial_of_join_is_the_product():

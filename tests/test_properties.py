@@ -14,6 +14,7 @@ from bierlab.complexes import (
     canonical_key,
 )
 from bierlab.duality import alexander_dual, bier_sphere
+from bierlab.tor import GF2, QQ, hochster_betti, koszul_betti_oracle
 
 SETTINGS = settings(max_examples=60, deadline=None)
 
@@ -67,3 +68,9 @@ def test_alexander_dual_is_an_involution(k):
 @given(small_complexes(proper=True))
 def test_bier_sphere_matches_brute_force(k):
     assert bier_sphere(k) == bier_sphere(k, brute=True)
+
+
+@SETTINGS
+@given(small_complexes(), st.sampled_from([QQ, GF2]))
+def test_hochster_betti_matches_the_koszul_oracle(k, field):
+    assert hochster_betti(k, field).table == koszul_betti_oracle(k, field).table

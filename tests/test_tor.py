@@ -2,6 +2,7 @@ from fractions import Fraction
 
 import pytest
 
+from bierlab import linalg
 from bierlab.census import enumerate_complexes
 from bierlab.complexes import (
     Complex,
@@ -31,6 +32,7 @@ from bierlab.tor import (
     is_product_golod,
     koszul_betti_oracle,
     reduced_cohomology,
+    subset_cohomology,
     tor_products,
 )
 from conftest import random_complex
@@ -241,3 +243,49 @@ def test_min_non_golod_uses_all_deletions():
     # the octahedron is not minimally non-Golod: some deletion keeps a
     # nontrivial product
     assert golod_summary(cross_polytope(3), QQ) == (False, False)
+
+
+# the 6-vertex real projective plane: acyclic over QQ, not over GF(2)
+RP2 = make_complex(6, [
+    [1, 2, 3], [1, 3, 4], [1, 4, 5], [1, 5, 6], [1, 2, 6],
+    [2, 3, 5], [2, 4, 5], [2, 4, 6], [3, 4, 6], [3, 5, 6],
+])
+
+
+def test_betti_golod_and_witnesses_share_one_sweep(monkeypatch):
+    sphere = drop_ghosts(bier_sphere(make_complex(4, [[1, 2], [3, 4]])))
+    calls = []
+    real = linalg.rank
+    monkeypatch.setattr(linalg, "rank", lambda *a: calls.append(a) or real(*a))
+    subset_cohomology.cache_clear()
+    hochster_betti(sphere, QQ)
+    alone = len(calls)
+    subset_cohomology.cache_clear()
+    del calls[:]
+    hochster_betti(sphere, QQ)
+    golod_summary(sphere, QQ)
+    assert tor_products(sphere, QQ)
+    assert len(calls) == alone > 0
+
+
+def test_subset_table_is_keyed_by_complex_and_field():
+    assert reduced_cohomology(RP2, QQ).ranks == {}
+    assert reduced_cohomology(RP2, GF2).ranks == {1: 1, 2: 1}
+    tables = []
+    for tag in (QQ, GF2, QQ):
+        table = hochster_betti(RP2, tag).table
+        assert table == koszul_betti_oracle(RP2, tag).table
+        tables.append(table)
+    assert tables[0] != tables[1] and tables[0] == tables[2]
+
+    c5 = cycle(5)
+    relabeled = make_complex(5, [[1, 3], [3, 5], [2, 5], [2, 4], [1, 4]])
+    first = tor_products(c5, QQ)
+    got = tor_products(relabeled, QQ)
+    assert got == SubsetCohomology(relabeled, QQ).witnesses(relabeled.full_mask)
+    assert got != first
+
+    fresh = Complex.from_masks(c5.m, list(c5.facets))
+    assert fresh is not c5 and fresh == c5
+    assert tor_products(fresh, QQ) == tor_products(c5, QQ) == first
+    assert subset_cohomology(fresh, QQ) is subset_cohomology(c5, QQ)
