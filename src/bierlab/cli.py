@@ -28,7 +28,8 @@ from .errors import BierlabError
 from .facevectors import f_vector, gamma_vector, h_vector, is_dehn_sommerville, realize_gamma_as_flag_f
 from .jsonio import complex_to_dict, dump_json, load_complex, load_multicomplex
 from .multicomplexes import murai_face_ideal, murai_sphere, murai_vertex_labels
-from .tor import FieldTag, golod_summary, hochster_betti, koszul_betti_oracle, tor_products
+from .tor import FieldTag, check_subset_sweep, golod_summary, hochster_betti
+from .tor import koszul_betti_oracle, tor_products
 
 
 def _add_common(sub):
@@ -207,6 +208,8 @@ def run(argv=None) -> int:
         )
     elif cmd == "betti":
         k = load_complex(args.infile)
+        # refuse before the cache key, whose canonical form is the slow part
+        check_subset_sweep(k)
         payload, _hit = _cached(
             args,
             lambda: f"betti|{canonical_key(k)}|p={args.field}|oracle={args.oracle}",

@@ -1,10 +1,11 @@
 """Exact linear algebra over the rationals and prime fields.
 
-Matrices are lists of rows; input entries are ints (the cochain matrices
-used in this package are integer matrices).  Characteristic 0 means the
-rationals: ranks use fraction-free (Bareiss) elimination on ints, echelon
-forms use ``fractions.Fraction``.  Characteristic p works modulo p, with a
-bitmask fast path for p = 2.  No floating point anywhere.
+Matrices are lists of rows; input entries are ints (the boundary matrices
+of this package, all built by ``boundary_matrix``, are integer matrices).
+Characteristic 0 means the rationals: ranks use fraction-free (Bareiss)
+elimination on ints, echelon forms use ``fractions.Fraction``.
+Characteristic p works modulo p, with a bitmask fast path for p = 2.  No
+floating point anywhere.
 """
 
 from __future__ import annotations
@@ -111,6 +112,33 @@ def rank(matrix: list[list[int]], p: int) -> int:
             rows.append(bits)
         return _rank_gf2(rows)
     return _rank_modp(matrix, p)
+
+
+# ---------------------------------------------------------------------------
+# chain complexes: every boundary matrix and homology rank goes through here
+
+
+def boundary_matrix(cells, faces, boundary) -> list[list[int]]:
+    """Dense integer matrix of a boundary map, one row per face and one
+    column per cell.  ``boundary(cell)`` yields (face, sign) pairs; repeated
+    pairs accumulate."""
+    rows = {face: [0] * len(cells) for face in faces}
+    for col, cell in enumerate(cells):
+        for face, sign in boundary(cell):
+            rows[face][col] += sign
+    return list(rows.values())
+
+
+def homology_ranks(graded, boundary, p: int) -> list[int]:
+    """Homology ranks over Q (p = 0) or GF(p) of the chain complex whose
+    cells in degree d are ``graded[d]``, lowest degree first: entry d is
+    n_d - r_d - r_{d+1}, with r_d the rank of the boundary out of degree d.
+    A rank is taken only between two nonempty degrees."""
+    r = [0] * (len(graded) + 1)
+    for d in range(1, len(graded)):
+        if graded[d] and graded[d - 1]:
+            r[d] = rank(boundary_matrix(graded[d], graded[d - 1], boundary), p)
+    return [len(cells) - r[d] - r[d + 1] for d, cells in enumerate(graded)]
 
 
 # ---------------------------------------------------------------------------

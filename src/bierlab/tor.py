@@ -56,67 +56,43 @@ def _group_by_size(face_masks) -> list[list[int]]:
     return groups
 
 
-def _coface_sign(face: int, v_bit: int) -> int:
-    """Sign of face -> face | v_bit in the coboundary."""
-    pos = (face & (v_bit - 1)).bit_count()
-    return -1 if pos & 1 else 1
-
-
-def _coboundary_matrix(lower: list[int], upper: list[int]) -> list[list[int]]:
-    """Matrix of delta from cochains on ``lower`` to cochains on ``upper``."""
-    idx = {f: i for i, f in enumerate(lower)}
-    rows = []
-    for g in upper:
-        row = [0] * len(lower)
-        gg = g
-        while gg:
-            v_bit = gg & -gg
-            sub = g ^ v_bit
-            j = idx.get(sub)
-            if j is not None:
-                row[j] = _coface_sign(sub, v_bit)
-            gg ^= v_bit
-        rows.append(row)
-    return rows
+def _boundary(face: int):
+    """Codimension-one faces of ``face`` with sign (-1)^pos of the dropped
+    vertex; the coboundary is its transpose."""
+    sign = 1
+    rest = face
+    while rest:
+        v_bit = rest & -rest
+        rest ^= v_bit
+        yield face ^ v_bit, sign
+        sign = -sign
 
 
 def _cohomology_ranks(groups: list[list[int]], p: int) -> dict[int, int]:
     """Reduced cohomology ranks by degree (degree s-1 from size-s faces)."""
-    if not groups:
-        return {}
-    ranks = {}
-    prev_rank = 0
-    for s in range(len(groups)):
-        upper = groups[s + 1] if s + 1 < len(groups) else []
-        r = linalg.rank(_coboundary_matrix(groups[s], upper), p) if upper else 0
-        h = len(groups[s]) - r - prev_rank
-        if h:
-            ranks[s - 1] = h
-        prev_rank = r
-    return ranks
+    ranks = linalg.homology_ranks(groups, _boundary, p)
+    return {s - 1: h for s, h in enumerate(ranks) if h}
+
+
+def _coboundary_image(groups, s: int, p: int) -> Echelon:
+    """Echelon basis of the coboundaries among the size-s cochains."""
+    target = groups[s] if s < len(groups) else []
+    ech = Echelon(p, len(target))
+    if 1 <= s < len(groups):
+        # row F of the boundary matrix is the coboundary of F's cochain
+        for row in linalg.boundary_matrix(target, groups[s - 1], _boundary):
+            ech.add(row)
+    return ech
 
 
 def _cocycle_representatives(groups, s: int, p: int) -> list[list]:
     """Echelonized cocycle representatives of degree s-1, deterministic."""
     lower = groups[s]
     upper = groups[s + 1] if s + 1 < len(groups) else []
-    matrix = _coboundary_matrix(lower, upper)
-    kernel = linalg.nullspace(matrix, len(lower), p) if upper else [
-        linalg.to_field([1 if i == j else 0 for j in range(len(lower))], p)
-        for i in range(len(lower))
-    ]
-    ech = Echelon(p, len(lower))
-    if s >= 1:
-        below = _coboundary_matrix(groups[s - 1], lower)
-        # image of delta is spanned by its columns
-        for j in range(len(groups[s - 1])):
-            ech.add([row[j] for row in below])
-    reps = []
-    for vec in kernel:
-        added = ech.add(vec)
-        if added is not None:
-            reps.append(added)
-    return reps
+    coboundary = list(zip(*linalg.boundary_matrix(upper, lower, _boundary)))
+    kernel = linalg.nullspace(coboundary, len(lower), p)
+    ech = _coboundary_image(groups, s, p)
+    return [row for row in map(ech.add, kernel) if row is not None]
 
 
 @dataclass
@@ -165,6 +141,13 @@ def homology_sphere_check(k: Complex, n: int) -> bool:
 # bigraded Betti numbers
 
 
+def check_subset_sweep(k: Complex):
+    """Refuse, before any work, a complex whose 2^m full subcomplexes are
+    too many to sweep: the Betti table and every product scan sweep them."""
+    if k.m > 16:
+        raise ResourceLimit("the full-subcomplex sweep visits 2^m subsets; need m <= 16")
+
+
 @dataclass
 class BigradedBetti:
     """Ranks of the bigraded pieces, keyed (i, 2j) with both entries >= 0."""
@@ -180,8 +163,7 @@ class BigradedBetti:
 def hochster_betti(k: Complex, f: FieldTag = QQ) -> BigradedBetti:
     """Betti table via the sum over vertex subsets of reduced cohomology of
     full subcomplexes; beta[(0, 0)] = 1 comes from the empty subset."""
-    if k.m > 16:
-        raise ResourceLimit("hochster_betti sweeps 2^m subsets; need m <= 16")
+    check_subset_sweep(k)
     sc = subset_cohomology(k, f)
     table: dict[tuple[int, int], int] = {}
     for j_mask in range(1 << k.m):
@@ -212,32 +194,19 @@ def koszul_betti_oracle(k: Complex, f: FieldTag = QQ) -> BigradedBetti:
                 basis[(j_mask ^ sigma).bit_count()].append(sigma)
         for b in basis:
             b.sort()
-        index = [
-            {sigma: col for col, sigma in enumerate(b)} for b in basis
-        ]
-        mats: list[list[list[int]]] = []
-        for i in range(1, j + 1):
-            rows = []
-            for sigma in basis[i - 1]:
-                rows.append([0] * len(basis[i]))
-            for col, sigma in enumerate(basis[i]):
-                tau = j_mask ^ sigma
-                tt = tau
-                while tt:
-                    v_bit = tt & -tt
-                    tt ^= v_bit
-                    new_sigma = sigma | v_bit
-                    if new_sigma in face_set:
-                        pos = (tau & (v_bit - 1)).bit_count()
-                        sign = -1 if pos & 1 else 1
-                        rows[index[i - 1][new_sigma]][col] = sign
-            mats.append(rows)
-        ranks = [0] * (j + 2)
-        for i in range(1, j + 1):
-            if basis[i] and basis[i - 1]:
-                ranks[i] = linalg.rank(mats[i - 1], f.p)
-        for i in range(j + 1):
-            h = len(basis[i]) - ranks[i] - ranks[i + 1]
+
+        def differential(sigma):
+            tau = j_mask ^ sigma
+            tt = tau
+            while tt:
+                v_bit = tt & -tt
+                tt ^= v_bit
+                new_sigma = sigma | v_bit
+                if new_sigma in face_set:
+                    pos = (tau & (v_bit - 1)).bit_count()
+                    yield new_sigma, -1 if pos & 1 else 1
+
+        for i, h in enumerate(linalg.homology_ranks(basis, differential, f.p)):
             if h:
                 key = (i, 2 * j)
                 table[key] = table.get(key, 0) + h
@@ -328,13 +297,7 @@ class SubsetCohomology:
         key = (j_mask, size)
         ech = self._im_echelon.get(key)
         if ech is None:
-            groups = self.groups(j_mask)
-            target = groups[size] if size < len(groups) else []
-            ech = Echelon(self.p, len(target))
-            if size >= 1 and size < len(groups):
-                mat = _coboundary_matrix(groups[size - 1], target)
-                for col in range(len(groups[size - 1])):
-                    ech.add([row[col] for row in mat])
+            ech = _coboundary_image(self.groups(j_mask), size, self.p)
             self._im_echelon[key] = ech
         return ech
 
@@ -434,15 +397,13 @@ def subset_cohomology(k: Complex, f: FieldTag) -> SubsetCohomology:
 def tor_products(k: Complex, f: FieldTag = QQ) -> list[TorWitness]:
     """All nonvanishing pairwise products between classes of disjoint
     nonempty vertex subsets, in deterministic order."""
-    if k.m > 16:
-        raise ResourceLimit("product scan sweeps 2^m subsets; need m <= 16")
+    check_subset_sweep(k)
     return subset_cohomology(k, f).witnesses(k.full_mask)
 
 
 def is_product_golod(k: Complex, f: FieldTag = QQ) -> bool:
     """True iff every pairwise product of positive-degree classes vanishes."""
-    if k.m > 16:
-        raise ResourceLimit("product scan sweeps 2^m subsets; need m <= 16")
+    check_subset_sweep(k)
     return not subset_cohomology(k, f).has_witness(k.full_mask)
 
 
@@ -454,8 +415,7 @@ def is_min_non_golod_product(k: Complex, f: FieldTag = QQ) -> bool:
 
 def golod_summary(k: Complex, f: FieldTag = QQ) -> tuple[bool, bool]:
     """(product-Golod, minimally-non-Golod at product level), one table."""
-    if k.m > 16:
-        raise ResourceLimit("product scan sweeps 2^m subsets; need m <= 16")
+    check_subset_sweep(k)
     sc = subset_cohomology(k, f)
     golod = not sc.has_witness(k.full_mask)
     if golod:

@@ -9,7 +9,7 @@ from bierlab.census import enumerate_complexes
 from bierlab.cli import run
 from bierlab.complexes import Isomorphism, canonical_key, drop_ghosts, maps_facets_onto, points
 from bierlab.duality import bier_sphere
-from bierlab.errors import InvalidInput
+from bierlab.errors import InvalidInput, ResourceLimit
 from bierlab.jsonio import complex_from_dict, complex_to_dict
 
 
@@ -119,6 +119,19 @@ def test_betti_without_cache_builds_no_key(tmp_path, monkeypatch):
     assert searched == []
     assert run(args + ["--cache-dir", str(tmp_path / "cache")]) == 0
     assert searched
+
+
+def test_cached_betti_refuses_a_huge_input_before_building_its_key(tmp_path, monkeypatch):
+    # the key's canonical-form search on 18 vertices ran for minutes
+    # before hochster_betti would have refused the input
+    def no_search(k):
+        raise AssertionError("the cache key was built")
+
+    monkeypatch.setattr(complexes, "canonical_form", no_search)
+    k = tmp_path / "k.json"
+    run(["complex", "--build", "cross-polytope:9", "--out", str(k)])
+    with pytest.raises(ResourceLimit):
+        run(["betti", "--in", str(k), "--cache-dir", str(tmp_path / "cache")])
 
 
 def test_golod_command(tmp_path):

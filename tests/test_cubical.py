@@ -134,6 +134,25 @@ def test_gw_partition_check_refuses_a_huge_grid_before_sweeping(monkeypatch):
         gw_partition_check(points(3, 3), resolution=100)
 
 
+def test_z_complex_refuses_a_large_ground_set_before_building(monkeypatch):
+    def no_work(k):
+        raise AssertionError("the construction started")
+
+    monkeypatch.setattr(cubical, "bier_sphere", no_work)
+    with pytest.raises(ResourceLimit):
+        z_complex(points(3, 9))
+
+
+def test_cubical_homology_refuses_a_large_ground_set_before_eliminating(monkeypatch):
+    def no_work(self):
+        raise AssertionError("the elimination started")
+
+    vertex = CubicalComplex(6, frozenset({(FIX_ZERO,) * 6}))
+    monkeypatch.setattr(CubicalComplex, "cells_by_dim", no_work)
+    with pytest.raises(ResourceLimit):
+        cubical_homology(vertex)
+
+
 def test_gw_partition_check_counts():
     report = gw_partition_check(points(3, 3), resolution=4, seed=7)
     assert report.grid_points == 125

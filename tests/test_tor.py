@@ -24,7 +24,7 @@ from bierlab.tor import (
     QQ,
     FieldTag,
     SubsetCohomology,
-    _coboundary_matrix,
+    _boundary,
     golod_summary,
     hochster_betti,
     homology_sphere_check,
@@ -168,11 +168,11 @@ def _delta_of(groups, size, vec, p):
     upper = groups[size + 1] if size + 1 < len(groups) else []
     if not upper:
         return [0]
-    mat = _coboundary_matrix(groups[size], upper)
+    mat = linalg.boundary_matrix(upper, groups[size], _boundary)
     out = []
-    for row in mat:
+    for col in zip(*mat):
         acc = 0
-        for a, b in zip(row, vec):
+        for a, b in zip(col, vec):
             acc += a * b
         out.append(acc % p if p else acc)
     return out
@@ -226,12 +226,15 @@ def test_product_classes_survive_representative_perturbation(rng):
                         if sa + 1 >= 1:
                             lower = groups[sa] if sa < len(groups) else []
                             if lower:
-                                mat = _coboundary_matrix(lower, groups[sa + 1])
+                                mat = linalg.boundary_matrix(
+                                    groups[sa + 1], lower, _boundary
+                                )
                                 col = rng.randrange(len(lower))
                                 scale = Fraction(rng.randint(1, 3))
+                                # row col: the coboundary of lower[col]
                                 perturbed = [
-                                    x + scale * row[col]
-                                    for x, row in zip(va, mat)
+                                    x + scale * y
+                                    for x, y in zip(va, mat[col])
                                 ]
                                 again = sc.product_is_nonzero(
                                     a_mask, sa + 1, perturbed, b_mask, sb + 1, vb
