@@ -20,6 +20,7 @@ from .complexes import (
     are_isomorphic,
     canonical_form,
     canonical_key,
+    canonical_labeling,
     cone,
     cycle,
     drop_ghosts,
@@ -140,16 +141,30 @@ def compositions(total: int) -> list[tuple[int, ...]]:
 
 
 def multicomplex_canonical_key(m: Multicomplex) -> tuple:
-    """Canonical form under permutations of variables with equal caps."""
-    idx = range(m.nvars)
-    best = None
-    for perm in itertools.permutations(idx):
-        if any(m.c[perm[i]] != m.c[i] for i in idx):
-            continue
-        relabeled = tuple(sorted(tuple(a[perm[i]] for i in idx) for a in m.max_monomials))
-        if best is None or relabeled < best:
-            best = relabeled
-    return (m.c, best)
+    """(caps, canonical form of a colored complex), equal for two
+    multicomplexes iff a permutation of variables with equal caps carries
+    one onto the other.
+
+    The complex has a vertex per level (i, j), 1 <= j <= c_i, colored j, a
+    marker per variable and a marker per maximal monomial, each kind of
+    marker in a color of its own.  Its facets are each variable's levels
+    plus its marker, and for each maximal monomial a the levels j <= a_i
+    plus its marker.  The variable facets tie each variable's levels
+    together, which level colors alone do not; the markers keep the facets
+    an antichain.
+    """
+    offsets = list(itertools.accumulate(m.c, initial=0))
+    levels, n = offsets[-1], m.nvars
+
+    def below(a) -> int:
+        return sum(((1 << x) - 1) << offsets[i] for i, x in enumerate(a))
+
+    facets = [((1 << ci) - 1) << offsets[i] | 1 << (levels + i) for i, ci in enumerate(m.c)]
+    facets += [below(a) | 1 << (levels + n + t) for t, a in enumerate(m.max_monomials)]
+    colors = [j for ci in m.c for j in range(1, ci + 1)]
+    colors += [0] * n + [-1] * len(m.max_monomials)
+    k = Complex.from_masks(len(colors), facets)
+    return (m.c, canonical_labeling(k, colors)[0])
 
 
 # ---------------------------------------------------------------------------

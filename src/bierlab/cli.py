@@ -28,8 +28,8 @@ from .errors import BierlabError
 from .facevectors import f_vector, gamma_vector, h_vector, is_dehn_sommerville, realize_gamma_as_flag_f
 from .jsonio import complex_to_dict, dump_json, load_complex, load_multicomplex
 from .multicomplexes import murai_face_ideal, murai_sphere, murai_vertex_labels
-from .tor import FieldTag, check_subset_sweep, golod_summary, hochster_betti
-from .tor import koszul_betti_oracle, tor_products
+from .tor import FieldTag, check_koszul_oracle, check_subset_sweep, golod_summary
+from .tor import hochster_betti, koszul_betti_oracle, tor_products
 
 
 def _add_common(sub):
@@ -128,9 +128,9 @@ def _betti_payload(k, field_tag, run_oracle):
     return payload
 
 
-# Part of every cache key: raise it whenever a payload changes format or
+# Part of every cache key: raise it whenever a key or payload changes format or
 # meaning, so records written before the change are never served.
-CACHE_FORMAT = 2
+CACHE_FORMAT = 3
 
 
 def _cached(args, make_key, compute):
@@ -210,6 +210,8 @@ def run(argv=None) -> int:
         k = load_complex(args.infile)
         # refuse before the cache key, whose canonical form is the slow part
         check_subset_sweep(k)
+        if args.oracle:
+            check_koszul_oracle(k)
         payload, _hit = _cached(
             args,
             lambda: f"betti|{canonical_key(k)}|p={args.field}|oracle={args.oracle}",

@@ -307,7 +307,7 @@ def stellar_subdivision(k: Complex, f: int) -> Complex:
 
 
 # ---------------------------------------------------------------------------
-# isomorphism
+# isomorphism and canonical form
 
 
 @dataclass(frozen=True)
@@ -336,185 +336,116 @@ def maps_facets_onto(iso: Isomorphism, k: Complex, l: Complex) -> bool:
     return sorted(iso.apply(f) for f in k.facets) == list(l.facets)
 
 
-def _edge_masks(k: Complex) -> set[int]:
-    return {s for s in faces(k) if s.bit_count() == 2}
-
-
-def _vertex_invariants(k: Complex):
-    """Isomorphism-invariant color per ground element, refined by neighbors."""
-    fsizes: list[list[int]] = [[] for _ in range(k.m)]
-    for f in k.facets:
-        for v in vertices_of(f):
-            fsizes[v - 1].append(f.bit_count())
-    link_fv = []
-    for v in range(1, k.m + 1):
-        b = 1 << (v - 1)
-        if any(f & b for f in k.facets):
-            link_fv.append(f_vector_counts(link(k, b)))
-        else:
-            link_fv.append(())
-    base = [(tuple(sorted(fsizes[v])), link_fv[v]) for v in range(k.m)]
-    edges = _edge_masks(k)
-    nbrs: list[list[int]] = [[] for _ in range(k.m)]
-    for e in edges:
-        a, b = vertices_of(e)
-        nbrs[a - 1].append(b - 1)
-        nbrs[b - 1].append(a - 1)
-    colors = base
-    for _ in range(2):
-        colors = [
-            (colors[v], tuple(sorted(colors[u] for u in nbrs[v])))
-            for v in range(k.m)
+def _refine(colors, facet_verts, vertex_facets) -> list[int]:
+    """The coarsest equitable refinement of ``colors`` on the vertex-facet
+    incidence.  A facet's color is the multiset of its vertices' colors; a
+    vertex's signature is its color plus the multiset of its facets'
+    colors.  New colors are ranks of the sorted signatures, so they never
+    depend on the labels, and cells keep their relative order."""
+    cells = len(set(colors))
+    while True:
+        fcol = [tuple(sorted(colors[v] for v in vs)) for vs in facet_verts]
+        sigs = [
+            (colors[v], tuple(sorted(fcol[f] for f in fs)))
+            for v, fs in enumerate(vertex_facets)
         ]
-    return colors
+        rank = {s: i for i, s in enumerate(sorted(set(sigs)))}
+        colors = [rank[s] for s in sigs]
+        if len(rank) == cells:
+            return colors
+        cells = len(rank)
 
 
-def are_isomorphic(k: Complex, l: Complex) -> Isomorphism | None:
-    """A facet-preserving ground-set bijection, or None.
+def canonical_labeling(k: Complex, colors=None):
+    """((m, facet masks), labeling): the least relabeled facet list over the
+    leaves of an individualization-refinement search, and the Isomorphism
+    from k onto it.
 
-    Ghost elements carry a distinct invariant so they can only map to
-    ghosts.  Deterministic: candidates are tried in ascending label order.
+    The search refines to an equitable partition (``_refine``),
+    individualizes in turn each vertex of the least-colored cell with more
+    than one vertex, and recurses.  A discrete partition relabels vertex v
+    as color(v) + 1.  A leaf whose facet list equals the least one so far
+    gives an automorphism, and a candidate in the orbit of an already-tried
+    one, under the automorphisms found so far that fix the current path, is
+    skipped (McKay and Piperno, Practical graph isomorphism II, 2014).
+
+    ``colors`` (one sortable value per vertex) restricts the search to
+    color-preserving relabelings, lesser colors taking lesser labels.  The
+    facet list does not record the colors, so callers compare forms only
+    between inputs whose color classes have the same sizes.
     """
-    if k.m != l.m or len(k.facets) != len(l.facets):
-        return None
-    if sorted(f.bit_count() for f in k.facets) != sorted(f.bit_count() for f in l.facets):
-        return None
-    ck = _vertex_invariants(k)
-    cl = _vertex_invariants(l)
-    if sorted(ck) != sorted(cl):
-        return None
-    cand = [[w for w in range(k.m) if cl[w] == ck[v]] for v in range(k.m)]
-    order = sorted(range(k.m), key=lambda v: (len(cand[v]), v))
-    edges_k = _edge_masks(k)
-    edges_l = _edge_masks(l)
-    l_facets = list(l.facets)
-    mapping = [0] * k.m
-    used = [False] * k.m
+    m = k.m
+    facet_verts = [[v - 1 for v in vertices_of(f)] for f in k.facets]
+    vertex_facets: list[list[int]] = [[] for _ in range(m)]
+    for i, vs in enumerate(facet_verts):
+        for v in vs:
+            vertex_facets[v].append(i)
+    autos: list[list[int]] = []  # automorphisms, 0-based images
+    best = None  # (form, labels) of the least leaf
 
-    def rec(idx: int) -> bool:
-        if idx == k.m:
-            return sorted(
-                mask_of(mapping[v - 1] + 1 for v in vertices_of(f)) for f in k.facets
-            ) == l_facets
-        v = order[idx]
-        for w in cand[v]:
-            if used[w]:
+    def leaf(labels):
+        nonlocal best
+        form = tuple(sorted(sum(1 << labels[v] for v in vs) for vs in facet_verts))
+        if best is not None and form == best[0]:
+            back = [0] * m
+            for v, c in enumerate(best[1]):
+                back[c] = v
+            autos.append([back[labels[v]] for v in range(m)])
+        elif best is None or form < best[0]:
+            best = (form, labels)
+
+    def orbit_root(parent, v):
+        while parent[v] != v:
+            v = parent[v]
+        return v
+
+    def search(colors, path):
+        colors = _refine(colors, facet_verts, vertex_facets)
+        cells: dict[int, list[int]] = {}
+        for v, c in enumerate(colors):
+            cells.setdefault(c, []).append(v)
+        target = next((cells[c] for c in sorted(cells) if len(cells[c]) > 1), None)
+        if target is None:
+            leaf(colors)
+            return
+        tried: list[int] = []
+        parent = list(range(m))  # orbits as a union-find forest
+        merged = 0  # autos[:merged] are in the forest
+        for v in target:
+            for g in autos[merged:]:
+                if all(g[u] == u for u in path):
+                    for u in range(m):
+                        a, b = orbit_root(parent, u), orbit_root(parent, g[u])
+                        if a != b:
+                            parent[max(a, b)] = min(a, b)
+            merged = len(autos)
+            if any(orbit_root(parent, v) == orbit_root(parent, u) for u in tried):
                 continue
-            ok = True
-            for u in order[:idx]:
-                ek = (1 << v) | (1 << u)
-                el = (1 << w) | (1 << mapping[u])
-                if (ek in edges_k) != (el in edges_l):
-                    ok = False
-                    break
-            if ok:
-                mapping[v] = w
-                used[w] = True
-                if rec(idx + 1):
-                    return True
-                used[w] = False
-        return False
+            tried.append(v)
+            search([2 * c + (u != v) for u, c in enumerate(colors)], path + [v])
 
-    if rec(0):
-        return Isomorphism(tuple(w + 1 for w in mapping))
-    return None
-
-
-# ---------------------------------------------------------------------------
-# canonical form
-
-
-def _swap_fixes_facets(facets, a: int, b: int) -> bool:
-    """Is the transposition of ground elements a, b (0-based) an automorphism?"""
-    ba, bb = 1 << a, 1 << b
-    swapped = []
-    for f in facets:
-        g = f & ~(ba | bb)
-        if f & ba:
-            g |= bb
-        if f & bb:
-            g |= ba
-        swapped.append(g)
-    return sorted(swapped) == list(facets)
+    search([0] * m if colors is None else list(colors), [])
+    form, labels = best
+    return (m, form), Isomorphism(tuple(c + 1 for c in labels))
 
 
 def canonical_form(k: Complex) -> tuple[int, tuple[int, ...]]:
-    """(m, facet masks) minimal over color-respecting relabelings.
+    """(m, facet masks), identical for isomorphic complexes and distinct
+    otherwise; see ``canonical_labeling``."""
+    return canonical_labeling(k)[0]
 
-    Colors are the refined vertex invariants; classes are ordered by their
-    invariant value, so the result is identical for isomorphic complexes and
-    distinct otherwise.  Backtracking search with sorted-prefix pruning and
-    a transposition-automorphism cut keeps the search small at <= 12
-    vertices.
-    """
-    m = k.m
-    facets = k.facets
-    if m == 0 or facets == (0,):
-        return (m, facets)
-    colors = _vertex_invariants(k)
-    classes: dict = {}
-    for v in range(m):
-        classes.setdefault(colors[v], []).append(v)
-    class_order = sorted(classes)
-    pos_class: list = []
-    for c in class_order:
-        pos_class.extend([c] * len(classes[c]))
-    nf = len(facets)
-    best: list[int] | None = None
-    assigned: list[int] = []  # old 0-based vertex at new position len-1
-    newlabel = [0] * m  # old vertex -> new 1-based label (0 = unassigned)
 
-    def complete_masks() -> list[int] | None:
-        """Sorted masks of facets fully inside the assigned set, with pruning."""
-        amask = 0
-        for v in assigned:
-            amask |= 1 << v
-        done = []
-        for f in facets:
-            if f & amask == f:
-                nm = 0
-                ff = f
-                while ff:
-                    low = ff & -ff
-                    nm |= 1 << (newlabel[low.bit_length() - 1] - 1)
-                    ff ^= low
-                done.append(nm)
-        done.sort()
-        return done
-
-    def rec():
-        nonlocal best
-        kdepth = len(assigned)
-        done = complete_masks()
-        if best is not None:
-            prefix = best[: len(done)]
-            if done > prefix:
-                return
-            if done == prefix:
-                if len(done) == nf:
-                    return  # equal leaf, keep existing best
-                if len(done) < nf and best[len(done)] < (1 << kdepth):
-                    return  # every future facet mask is >= 2^kdepth
-        if kdepth == m:
-            if best is None or done < best:
-                best = done
-            return
-        cls = pos_class[kdepth]
-        candidates = [v for v in classes[cls] if newlabel[v] == 0]
-        tried: list[int] = []
-        for v in candidates:
-            if any(_swap_fixes_facets(facets, v, u) for u in tried):
-                continue
-            tried.append(v)
-            assigned.append(v)
-            newlabel[v] = kdepth + 1
-            rec()
-            newlabel[v] = 0
-            assigned.pop()
-
-    rec()
-    assert best is not None
-    return (m, tuple(best))
+def are_isomorphic(k: Complex, l: Complex) -> Isomorphism | None:
+    """A facet-preserving ground-set bijection, or None: k's canonical
+    labeling followed by the inverse of l's."""
+    if k.m != l.m:
+        return None
+    form_k, to_form = canonical_labeling(k)
+    form_l, l_to_form = canonical_labeling(l)
+    if form_k != form_l:
+        return None
+    back = l_to_form.inverse().mapping
+    return Isomorphism(tuple(back[c - 1] for c in to_form.mapping))
 
 
 def format_key(m: int, masks) -> str:

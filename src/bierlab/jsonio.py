@@ -32,10 +32,6 @@ def complex_from_dict(d: dict) -> Complex:
     return make_complex(m, facets)
 
 
-def multicomplex_to_dict(mc: Multicomplex) -> dict:
-    return {"c": list(mc.c), "max_monomials": [list(a) for a in mc.max_monomials]}
-
-
 def multicomplex_from_dict(d: dict) -> Multicomplex:
     try:
         c = [int(x) for x in d["c"]]

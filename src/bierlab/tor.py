@@ -148,6 +148,13 @@ def check_subset_sweep(k: Complex):
         raise ResourceLimit("the full-subcomplex sweep visits 2^m subsets; need m <= 16")
 
 
+def check_koszul_oracle(k: Complex):
+    """Refuse, before any work, a complex too large for the Koszul oracle,
+    which builds a basis for each of the 2^m squarefree multidegrees."""
+    if k.m > 10:
+        raise ResourceLimit("koszul oracle is exponential; need m <= 10")
+
+
 @dataclass
 class BigradedBetti:
     """Ranks of the bigraded pieces, keyed (i, 2j) with both entries >= 0."""
@@ -182,8 +189,7 @@ def koszul_betti_oracle(k: Complex, f: FieldTag = QQ) -> BigradedBetti:
     sigma + tau = J disjointly, graded by |tau|, and differential moving
     one element of tau into sigma when the union is again a face.
     """
-    if k.m > 10:
-        raise ResourceLimit("koszul oracle is exponential; need m <= 10")
+    check_koszul_oracle(k)
     face_set = faces(k)
     table: dict[tuple[int, int], int] = {}
     for j_mask in range(1 << k.m):

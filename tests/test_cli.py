@@ -3,7 +3,7 @@ import os
 
 import pytest
 
-from bierlab import complexes
+from bierlab import complexes, tor
 from bierlab.cache import cache_put
 from bierlab.census import enumerate_complexes
 from bierlab.cli import run
@@ -132,6 +132,34 @@ def test_cached_betti_refuses_a_huge_input_before_building_its_key(tmp_path, mon
     run(["complex", "--build", "cross-polytope:9", "--out", str(k)])
     with pytest.raises(ResourceLimit):
         run(["betti", "--in", str(k), "--cache-dir", str(tmp_path / "cache")])
+
+
+def test_betti_cache_ignores_records_under_the_earlier_key_format(tmp_path):
+    # canonical keys changed meaning with format 3, so a format-2 record
+    # under today's key may belong to another complex
+    k = tmp_path / "k.json"
+    run(["complex", "--build", "cycle:5", "--out", str(k)])
+    cache_dir = tmp_path / "cache"
+    stale = f"v2|betti|{canonical_key(complex_from_dict(read(k)))}|p=0|oracle=False"
+    cache_put(str(cache_dir), stale, {"value": {"stale": True}})
+    out = tmp_path / "o.json"
+    assert run(["betti", "--in", str(k), "--cache-dir", str(cache_dir), "--out", str(out)]) == 0
+    assert "stale" not in read(out)
+    assert read(out)["betti"] == [[0, 0, 1], [1, 4, 5], [2, 6, 5], [3, 10, 1]]
+
+
+def test_betti_oracle_refuses_a_large_input_before_any_work(tmp_path, monkeypatch):
+    # with the cache on, the key and the whole sweep ran before the Koszul
+    # oracle refused m > 10
+    def no_work(*args):
+        raise AssertionError("work started before the refusal")
+
+    monkeypatch.setattr(complexes, "canonical_form", no_work)
+    monkeypatch.setattr(tor, "subset_cohomology", no_work)
+    k = tmp_path / "k.json"
+    run(["complex", "--build", "cross-polytope:6", "--out", str(k)])
+    with pytest.raises(ResourceLimit):
+        run(["betti", "--in", str(k), "--oracle", "--cache-dir", str(tmp_path / "cache")])
 
 
 def test_golod_command(tmp_path):
