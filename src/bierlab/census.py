@@ -206,10 +206,6 @@ def sphere_record(k: Complex, field_tag: FieldTag = QQ) -> CensusRecord:
     """Record for the (ghost-free) Bier sphere of ``k``."""
     sphere = drop_ghosts(bier_sphere(k))
     tags = classify_bier(k).tags
-    return complex_record(sphere, field_tag, tags)
-
-
-def complex_record(sphere: Complex, field_tag: FieldTag = QQ, tags=()) -> CensusRecord:
     betti = hochster_betti(sphere, field_tag)
     golod, min_non = golod_summary(sphere, field_tag)
     return CensusRecord(
@@ -600,14 +596,13 @@ def _suite_cubical(seed: int, sample) -> VerificationReport:
                 if not cell_in_z(cell, k, dual):
                     issues.append("cell fails the membership predicate")
                     break
-            if m <= 4:
-                predicate_cells = frozenset(
-                    cell
-                    for cell in itertools.product(range(5), repeat=m)
-                    if cell_in_z(cell, k, dual)
-                )
-                if predicate_cells != z.cells:
-                    issues.append("membership predicate admits extra cells")
+            predicate_cells = frozenset(
+                cell
+                for cell in itertools.product(range(5), repeat=m)
+                if cell_in_z(cell, k, dual)
+            )
+            if predicate_cells != z.cells:
+                issues.append("membership predicate admits extra cells")
             suite.check(not issues, {"m": m, "complex": k.facet_sets(), "issues": issues})
     hexagon_z = z_complex(make_complex(3, [[1], [2], [3]]))
     rim = boundary_complex(hexagon_z)

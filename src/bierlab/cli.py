@@ -4,6 +4,10 @@ Subcommands: complex | dual | bier | murai | murai-ideal | betti | golod |
 faces | classify | cubical | census | verify.  Complexes and multicomplexes
 travel as the JSON formats of ``bierlab.jsonio``; results print to stdout
 or to ``--out``.
+
+``COMMANDS`` is the whole surface: each subcommand names its handler, which
+returns the JSON payload, and the options that handler reads.  A subcommand
+takes only those options and ``COMMON``; ``OPTIONS`` declares each once.
 """
 
 from __future__ import annotations
@@ -11,6 +15,7 @@ from __future__ import annotations
 import argparse
 import sys
 from multiprocessing import Pool
+from typing import Callable, NamedTuple
 
 from . import cache as cachemod
 from . import census as censusmod
@@ -24,95 +29,66 @@ from .cubical import (
     z_complex,
 )
 from .duality import alexander_dual, bier_sphere, classify_bier, reference_flag_sphere
-from .errors import BierlabError
+from .errors import BierlabError, InvalidInput
 from .facevectors import f_vector, gamma_vector, h_vector, is_dehn_sommerville, realize_gamma_as_flag_f
 from .jsonio import complex_to_dict, dump_json, load_complex, load_multicomplex
 from .multicomplexes import murai_face_ideal, murai_sphere, murai_vertex_labels
-from .tor import FieldTag, check_koszul_oracle, check_subset_sweep, golod_summary
+from .tor import QQ, FieldTag, check_koszul_oracle, check_subset_sweep, golod_summary
 from .tor import hochster_betti, koszul_betti_oracle, tor_products
 
 
-def _add_common(sub):
-    sub.add_argument("--out", help="write the JSON result here instead of stdout")
-    sub.add_argument("--field", type=int, default=0,
-                     help="coefficient field characteristic (0 = rationals)")
-    sub.add_argument("--cache-dir", default=cachemod.default_cache_dir(),
-                     help="result cache directory (default: $BIERLAB_CACHE)")
-    sub.add_argument("--no-cache", action="store_true", help="disable the cache")
-    sub.add_argument("--jobs", type=int, default=1, help="worker processes for census")
-    sub.add_argument("--seed", type=int, default=0, help="seed for randomized checks")
+def characteristic(text: str) -> FieldTag:
+    """``--field``: refused while parsing, before any work, unless 0 or a prime."""
+    try:
+        return FieldTag(int(text))
+    except InvalidInput as exc:
+        raise argparse.ArgumentTypeError(str(exc)) from None
 
 
-def _cache_dir(args):
-    return None if args.no_cache else args.cache_dir
+OPTIONS = {
+    "--build": dict(required=True, help="builder spec, e.g. cycle:6, points:3,3, nerve-q23"),
+    "--in": dict(dest="infile", required=True),
+    "--m": dict(type=int, required=True),
+    "--suite": dict(required=True,
+                    help="suite name or 'all': " + ", ".join(sorted(censusmod.SUITES))),
+    "--sample": dict(type=int, default=None,
+                     help="cap heavy censuses at this many instances (flagged in report)"),
+    "--oracle": dict(action="store_true", help="also run the Koszul oracle and cross-check"),
+    "--boundary": dict(action="store_true", help="emit the boundary cells"),
+    "--homology": dict(action="store_true", help="reduced homology ranks"),
+    "--gw": dict(action="store_true", help="run the partition check"),
+    "--resolution": dict(type=int, default=4),
+    "--field": dict(type=characteristic, default=QQ,
+                    help="coefficient field characteristic (0 = rationals)"),
+    "--jobs": dict(type=int, default=1, help="worker processes for census"),
+    "--seed": dict(type=int, default=0, help="seed for randomized checks"),
+    "--out": dict(help="write the JSON result here instead of stdout"),
+    "--cache-dir": dict(help="result cache directory (default: $BIERLAB_CACHE)"),
+    "--no-cache": dict(action="store_true", help="disable the cache"),
+}
+# every subcommand takes these; the cache flags are a deployment setting,
+# like $BIERLAB_CACHE, even where a subcommand caches nothing
+COMMON = ("--out", "--cache-dir", "--no-cache")
 
 
-def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
-        prog="bierlab",
-        description="Bier and Murai spheres: duality, face rings, cubical models",
-    )
-    subs = parser.add_subparsers(dest="command", required=True)
+# Part of every cache key: raise it whenever a key or payload changes format or
+# meaning, so records written before the change are never served.
+CACHE_FORMAT = 3
 
-    p = subs.add_parser("complex", help="emit a standard complex")
-    p.add_argument("--build", required=True,
-                   help="builder spec, e.g. cycle:6, points:3,3, nerve-q23")
-    _add_common(p)
 
-    p = subs.add_parser("dual", help="Alexander dual")
-    p.add_argument("--in", dest="infile", required=True)
-    _add_common(p)
-
-    p = subs.add_parser("bier", help="Bier sphere of a complex")
-    p.add_argument("--in", dest="infile", required=True)
-    _add_common(p)
-
-    p = subs.add_parser("classify", help="classification tags of a Bier sphere")
-    p.add_argument("--in", dest="infile", required=True)
-    _add_common(p)
-
-    p = subs.add_parser("murai", help="sphere of a proper multicomplex")
-    p.add_argument("--in", dest="infile", required=True)
-    _add_common(p)
-
-    p = subs.add_parser("murai-ideal", help="face ideal of a Murai sphere")
-    p.add_argument("--in", dest="infile", required=True)
-    _add_common(p)
-
-    p = subs.add_parser("betti", help="bigraded Betti numbers of a face ring")
-    p.add_argument("--in", dest="infile", required=True)
-    p.add_argument("--oracle", action="store_true",
-                   help="also run the Koszul oracle and cross-check")
-    _add_common(p)
-
-    p = subs.add_parser("golod", help="product-level Golod predicates")
-    p.add_argument("--in", dest="infile", required=True)
-    _add_common(p)
-
-    p = subs.add_parser("faces", help="f-, h- and gamma-vectors")
-    p.add_argument("--in", dest="infile", required=True)
-    _add_common(p)
-
-    p = subs.add_parser("cubical", help="cubical disc of a complex")
-    p.add_argument("--in", dest="infile", required=True)
-    p.add_argument("--boundary", action="store_true", help="emit the boundary cells")
-    p.add_argument("--homology", action="store_true", help="reduced homology ranks")
-    p.add_argument("--gw", action="store_true", help="run the partition check")
-    p.add_argument("--resolution", type=int, default=4)
-    _add_common(p)
-
-    p = subs.add_parser("census", help="classified census of Bier spheres on [m]")
-    p.add_argument("--m", type=int, required=True)
-    _add_common(p)
-
-    p = subs.add_parser("verify", help="run a verification suite")
-    p.add_argument("--suite", required=True,
-                   help="suite name or 'all': " + ", ".join(sorted(censusmod.SUITES)))
-    p.add_argument("--sample", type=int, default=None,
-                   help="cap heavy censuses at this many instances (flagged in report)")
-    _add_common(p)
-
-    return parser
+def _cached(args, make_key, compute):
+    """``compute()``, read from or written to the result cache when it is on;
+    ``make_key`` runs only then, since a key can cost a canonical-form search."""
+    cache_dir = cachemod.default_cache_dir() if args.cache_dir is None else args.cache_dir
+    if args.no_cache or not cache_dir:
+        return compute()
+    key = f"v{CACHE_FORMAT}|{make_key()}"
+    record = cachemod.cache_get(cache_dir, key)
+    if record is not None:
+        return record["value"]
+    value = compute()
+    cachemod.cache_put(cache_dir, key, {"value": value})
+    return value
 
 
 def _betti_payload(k, field_tag, run_oracle):
@@ -128,27 +104,8 @@ def _betti_payload(k, field_tag, run_oracle):
     return payload
 
 
-# Part of every cache key: raise it whenever a key or payload changes format or
-# meaning, so records written before the change are never served.
-CACHE_FORMAT = 3
-
-
-def _cached(args, make_key, compute):
-    """(value, hit); ``make_key`` runs only when the cache is on, since a
-    key can cost a canonical-form search."""
-    cache_dir = _cache_dir(args)
-    if not cache_dir:
-        return compute(), False
-    key = f"v{CACHE_FORMAT}|{make_key()}"
-    record = cachemod.cache_get(cache_dir, key)
-    if record is not None:
-        return record["value"], True
-    value = compute()
-    cachemod.cache_put(cache_dir, key, {"value": value})
-    return value, False
-
-
-def _classify_payload(k):
+def _classify(args):
+    k = load_complex(args.infile)
     cls = classify_bier(k)
     payload = {"tags": list(cls.tags)}
     sphere = drop_ghosts(bier_sphere(k))
@@ -172,126 +129,167 @@ def _classify_payload(k):
     return payload
 
 
+def _murai(args):
+    mc = load_multicomplex(args.infile)
+    payload = complex_to_dict(murai_sphere(mc))
+    payload["vertex_labels"] = murai_vertex_labels(mc.c)
+    return payload
+
+
+def _murai_ideal(args):
+    ideal = murai_face_ideal(load_multicomplex(args.infile))
+    return {
+        "variables": list(ideal.variables),
+        "generators": [list(g) for g in ideal.generators],
+        "generator_monomials": ideal.generator_strings(),
+    }
+
+
+def _betti(args):
+    k = load_complex(args.infile)
+    # refuse before the cache key, whose canonical form is the slow part
+    check_subset_sweep(k)
+    if args.oracle:
+        check_koszul_oracle(k)
+    return _cached(
+        args,
+        lambda: f"betti|{canonical_key(k)}|p={args.field.p}|oracle={args.oracle}",
+        lambda: _betti_payload(k, args.field, args.oracle),
+    )
+
+
+def _golod(args):
+    k = load_complex(args.infile)
+
+    def compute():
+        golod, min_non = golod_summary(k, args.field)
+        witnesses = tor_products(k, args.field)
+        payload = _betti_payload(k, args.field, False)
+        payload["witnesses"] = [
+            {
+                "subset_a": list(vertices_of(w.subset_a)),
+                "subset_b": list(vertices_of(w.subset_b)),
+                "cochain_sizes": [w.size_a, w.size_b],
+                "class_indices": [w.index_a, w.index_b],
+            }
+            for w in witnesses
+        ]
+        payload["product_golod"] = golod
+        payload["min_non_golod"] = min_non
+        return payload
+
+    # witnesses name the input's own vertices, so the record is only
+    # valid for this labeling (betti payloads carry no labels)
+    return _cached(args, lambda: f"golod|{format_key(k.m, k.facets)}|p={args.field.p}", compute)
+
+
+def _faces(args):
+    k = load_complex(args.infile)
+    gamma = gamma_vector(k)
+    witness = realize_gamma_as_flag_f(gamma) if gamma is not None else None
+    return {
+        "f": list(f_vector(k)),
+        "h": list(h_vector(k)),
+        "gamma": list(gamma) if gamma is not None else None,
+        "dehn_sommerville": is_dehn_sommerville(k),
+        "flag": is_flag(k),
+        "np_witness": complex_to_dict(witness)["facets"] if witness else None,
+    }
+
+
+def _cubical(args):
+    k = load_complex(args.infile)
+    z = z_complex(k)
+    target = boundary_complex(z) if args.boundary else z
+    lines = [cell_symbol(c) for c in sorted(target.cells)]
+    payload = {"m": k.m, "cells": lines, "dim": target.dim}
+    if args.homology:
+        payload["homology"] = cubical_homology(target, args.field.p)
+    if args.gw:
+        report = gw_partition_check(k, args.resolution, args.seed)
+        payload["gw"] = {
+            "grid_points": report.grid_points,
+            "random_points": report.random_points,
+            "violations": len(report.violations),
+        }
+    return payload
+
+
 def _census_record_dict(k_and_field):
-    k, p = k_and_field
-    return censusmod.sphere_record(k, FieldTag(p)).to_dict()
+    k, field_tag = k_and_field
+    return censusmod.sphere_record(k, field_tag).to_dict()
+
+
+def _census(args):
+    ks = censusmod.enumerate_complexes(args.m, up_to_iso=True, include_simplex=False)
+    work = [(k, args.field) for k in ks]
+    if args.jobs > 1:
+        with Pool(args.jobs) as pool:
+            records = pool.map(_census_record_dict, work)
+    else:
+        records = [_census_record_dict(w) for w in work]
+    return {"m": args.m, "records": records}
+
+
+def _verify(args):
+    names = sorted(censusmod.SUITES) if args.suite == "all" else [args.suite]
+    reports = [censusmod.verify(n, seed=args.seed, sample=args.sample) for n in names]
+    return {"reports": [r.to_dict() for r in reports]}
+
+
+class Command(NamedTuple):
+    help: str
+    handler: Callable  # parsed args -> JSON payload
+    options: tuple  # the flags the handler reads, beyond COMMON
+    status: Callable = lambda payload: 0  # exit status of a payload
+
+
+COMMANDS = {
+    "complex": Command("emit a standard complex",
+                       lambda args: complex_to_dict(standard_complex(args.build)), ("--build",)),
+    "dual": Command("Alexander dual",
+                    lambda args: complex_to_dict(alexander_dual(load_complex(args.infile))),
+                    ("--in",)),
+    "bier": Command("Bier sphere of a complex",
+                    lambda args: complex_to_dict(bier_sphere(load_complex(args.infile))),
+                    ("--in",)),
+    "classify": Command("classification tags of a Bier sphere", _classify, ("--in",)),
+    "murai": Command("sphere of a proper multicomplex", _murai, ("--in",)),
+    "murai-ideal": Command("face ideal of a Murai sphere", _murai_ideal, ("--in",)),
+    "betti": Command("bigraded Betti numbers of a face ring", _betti,
+                     ("--in", "--oracle", "--field")),
+    "golod": Command("product-level Golod predicates", _golod, ("--in", "--field")),
+    "faces": Command("f-, h- and gamma-vectors", _faces, ("--in",)),
+    "cubical": Command("cubical disc of a complex", _cubical,
+                       ("--in", "--boundary", "--homology", "--gw", "--resolution", "--field",
+                        "--seed")),
+    "census": Command("classified census of Bier spheres on [m]", _census,
+                      ("--m", "--field", "--jobs")),
+    # exit 1 when a report has counterexamples
+    "verify": Command("run a verification suite", _verify, ("--suite", "--sample", "--seed"),
+                      lambda payload: int(any(r["counterexamples"] for r in payload["reports"]))),
+}
+
+
+def build_parser() -> argparse.ArgumentParser:
+    parser = argparse.ArgumentParser(
+        prog="bierlab",
+        description="Bier and Murai spheres: duality, face rings, cubical models",
+    )
+    subs = parser.add_subparsers(dest="command", required=True)
+    for name, command in COMMANDS.items():
+        sub = subs.add_parser(name, help=command.help)
+        for flag in command.options + COMMON:
+            sub.add_argument(flag, **OPTIONS[flag])
+    return parser
 
 
 def run(argv=None) -> int:
     args = build_parser().parse_args(argv)
-    field_tag = FieldTag(args.field)
-    cmd = args.command
-
-    if cmd == "complex":
-        dump_json(complex_to_dict(standard_complex(args.build)), args.out)
-    elif cmd == "dual":
-        dump_json(complex_to_dict(alexander_dual(load_complex(args.infile))), args.out)
-    elif cmd == "bier":
-        dump_json(complex_to_dict(bier_sphere(load_complex(args.infile))), args.out)
-    elif cmd == "classify":
-        dump_json(_classify_payload(load_complex(args.infile)), args.out)
-    elif cmd == "murai":
-        mc = load_multicomplex(args.infile)
-        payload = complex_to_dict(murai_sphere(mc))
-        payload["vertex_labels"] = murai_vertex_labels(mc.c)
-        dump_json(payload, args.out)
-    elif cmd == "murai-ideal":
-        mc = load_multicomplex(args.infile)
-        ideal = murai_face_ideal(mc)
-        dump_json(
-            {
-                "variables": list(ideal.variables),
-                "generators": [list(g) for g in ideal.generators],
-                "generator_monomials": ideal.generator_strings(),
-            },
-            args.out,
-        )
-    elif cmd == "betti":
-        k = load_complex(args.infile)
-        # refuse before the cache key, whose canonical form is the slow part
-        check_subset_sweep(k)
-        if args.oracle:
-            check_koszul_oracle(k)
-        payload, _hit = _cached(
-            args,
-            lambda: f"betti|{canonical_key(k)}|p={args.field}|oracle={args.oracle}",
-            lambda: _betti_payload(k, field_tag, args.oracle),
-        )
-        dump_json(payload, args.out)
-    elif cmd == "golod":
-        k = load_complex(args.infile)
-
-        def compute():
-            golod, min_non = golod_summary(k, field_tag)
-            witnesses = tor_products(k, field_tag)
-            payload = _betti_payload(k, field_tag, False)
-            payload["witnesses"] = [
-                {
-                    "subset_a": list(vertices_of(w.subset_a)),
-                    "subset_b": list(vertices_of(w.subset_b)),
-                    "cochain_sizes": [w.size_a, w.size_b],
-                    "class_indices": [w.index_a, w.index_b],
-                }
-                for w in witnesses
-            ]
-            payload["product_golod"] = golod
-            payload["min_non_golod"] = min_non
-            return payload
-
-        # witnesses name the input's own vertices, so the record is only
-        # valid for this labeling (betti payloads carry no labels)
-        payload, _hit = _cached(
-            args, lambda: f"golod|{format_key(k.m, k.facets)}|p={args.field}", compute
-        )
-        dump_json(payload, args.out)
-    elif cmd == "faces":
-        k = load_complex(args.infile)
-        gamma = gamma_vector(k)
-        witness = realize_gamma_as_flag_f(gamma) if gamma is not None else None
-        dump_json(
-            {
-                "f": list(f_vector(k)),
-                "h": list(h_vector(k)),
-                "gamma": list(gamma) if gamma is not None else None,
-                "dehn_sommerville": is_dehn_sommerville(k),
-                "flag": is_flag(k),
-                "np_witness": complex_to_dict(witness)["facets"] if witness else None,
-            },
-            args.out,
-        )
-    elif cmd == "cubical":
-        k = load_complex(args.infile)
-        z = z_complex(k)
-        target = boundary_complex(z) if args.boundary else z
-        lines = [cell_symbol(c) for c in sorted(target.cells)]
-        payload = {"m": k.m, "cells": lines, "dim": target.dim}
-        if args.homology:
-            payload["homology"] = cubical_homology(target, args.field)
-        if args.gw:
-            report = gw_partition_check(k, args.resolution, args.seed)
-            payload["gw"] = {
-                "grid_points": report.grid_points,
-                "random_points": report.random_points,
-                "violations": len(report.violations),
-            }
-        dump_json(payload, args.out)
-    elif cmd == "census":
-        ks = censusmod.enumerate_complexes(args.m, up_to_iso=True, include_simplex=False)
-        work = [(k, args.field) for k in ks]
-        if args.jobs > 1:
-            with Pool(args.jobs) as pool:
-                records = pool.map(_census_record_dict, work)
-        else:
-            records = [_census_record_dict(w) for w in work]
-        dump_json({"m": args.m, "records": records}, args.out)
-    elif cmd == "verify":
-        names = sorted(censusmod.SUITES) if args.suite == "all" else [args.suite]
-        reports = [censusmod.verify(n, seed=args.seed, sample=args.sample) for n in names]
-        payload = {"reports": [r.to_dict() for r in reports]}
-        dump_json(payload, args.out)
-        if any(not r.ok for r in reports):
-            return 1
-    return 0
+    command = COMMANDS[args.command]
+    payload = command.handler(args)
+    dump_json(payload, args.out)
+    return command.status(payload)
 
 
 def main():

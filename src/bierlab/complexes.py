@@ -137,19 +137,12 @@ def faces(k: Complex) -> set[int]:
     return out
 
 
-def faces_by_size(k: Complex) -> list[list[int]]:
-    """Faces grouped by cardinality: entry s lists the size-s faces, sorted."""
-    groups: list[list[int]] = [[] for _ in range(k.dim + 2)]
-    for f in faces(k):
-        groups[f.bit_count()].append(f)
-    for g in groups:
-        g.sort()
-    return groups
-
-
 def f_vector_counts(k: Complex) -> tuple[int, ...]:
     """(f_-1, f_0, ..., f_{dim}) face counts."""
-    return tuple(len(g) for g in faces_by_size(k))
+    counts = [0] * (k.dim + 2)
+    for f in faces(k):
+        counts[f.bit_count()] += 1
+    return tuple(counts)
 
 
 def euler_characteristic(k: Complex) -> int:

@@ -200,6 +200,7 @@ def cubical_homology(c: CubicalComplex, p: int = 0) -> list[int]:
     """Reduced cellular homology ranks in degrees 0..dim over Q (p = 0) or
     GF(p).  The augmentation is a cell of degree -1, as the empty face is
     for a simplicial complex."""
+    linalg.check_characteristic(p)
     # the rim at m = 6 has 3,578 cells and its dense ranks took minutes
     if c.m > 5:
         raise ResourceLimit("cubical_homology eliminates dense cell matrices; need m <= 5")

@@ -1,12 +1,15 @@
 import json
 import os
+import shlex
+import sys
+from pathlib import Path
 
 import pytest
 
-from bierlab import complexes, tor
+from bierlab import cli, complexes, tor
 from bierlab.cache import cache_put
-from bierlab.census import enumerate_complexes
-from bierlab.cli import run
+from bierlab.census import VerificationReport, enumerate_complexes
+from bierlab.cli import build_parser, main, run
 from bierlab.complexes import Isomorphism, canonical_key, drop_ghosts, maps_facets_onto, points
 from bierlab.duality import bier_sphere
 from bierlab.errors import InvalidInput, ResourceLimit
@@ -236,3 +239,94 @@ def test_verify_command(tmp_path):
 def test_bad_builder_is_an_error():
     with pytest.raises(InvalidInput):
         run(["complex", "--build", "dodecahedron:12"])
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["verify", "--suite", "bier-1dim", "--field", "3"],
+        ["verify", "--suite", "bier-1dim", "--jobs", "2"],
+        ["dual", "--in", "K", "--field", "2"],
+        ["dual", "--in", "K", "--jobs", "2"],
+        ["census", "--m", "3", "--seed", "1"],
+        ["golod", "--in", "K", "--jobs", "2"],
+        ["faces", "--in", "K", "--field", "2"],
+    ],
+)
+def test_subcommands_refuse_options_they_do_not_read(tmp_path, argv):
+    # a valid input, so only the unread option can make the command fail
+    k = tmp_path / "k.json"
+    run(["complex", "--build", "cycle:4", "--out", str(k)])
+    argv = [str(k) if a == "K" else a for a in argv] + ["--out", str(tmp_path / "o.json")]
+    with pytest.raises(SystemExit) as exc:
+        run(argv)
+    assert exc.value.code == 2
+    assert not (tmp_path / "o.json").exists()
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["betti", "--in", "K"],
+        ["golod", "--in", "K"],
+        ["cubical", "--in", "K", "--homology"],
+        ["census", "--m", "3"],
+    ],
+)
+def test_a_field_that_is_not_prime_is_refused_before_any_work(tmp_path, monkeypatch, capsys, argv):
+    def no_work(*args, **kwargs):
+        raise AssertionError("work started before the refusal")
+
+    k = tmp_path / "k.json"
+    run(["complex", "--build", "points:3,3", "--out", str(k)])
+    monkeypatch.setattr(cli, "load_complex", no_work)
+    monkeypatch.setattr(cli.censusmod, "enumerate_complexes", no_work)
+    with pytest.raises(SystemExit) as exc:
+        run([str(k) if a == "K" else a for a in argv] + ["--field", "4"])
+    assert exc.value.code == 2
+    assert "characteristic must be 0 or prime, got 4" in capsys.readouterr().err
+
+
+def test_verify_exits_1_when_a_report_has_counterexamples(tmp_path, monkeypatch):
+    def failing(name, seed, sample):
+        return VerificationReport(name, 2, 1, [{"instance": 1}])
+
+    monkeypatch.setattr(cli.censusmod, "verify", failing)
+    out = tmp_path / "report.json"
+    assert run(["verify", "--suite", "bier-1dim", "--out", str(out)]) == 1
+    assert read(out)["reports"][0]["counterexamples"] == [{"instance": 1}]
+
+
+def test_every_readme_command_line_parses():
+    readme = Path(__file__).resolve().parent.parent / "README.md"
+    section = readme.read_text(encoding="utf-8").split("## Command line", 1)[1]
+    block = section.split("```sh", 1)[1].split("```", 1)[0]
+    lines = [line.split("#", 1)[0] for line in block.splitlines() if line.startswith("bierlab ")]
+    assert len(lines) == 12
+    parser = build_parser()
+    for line in lines:
+        words = shlex.split(line)[1:]
+        assert parser.parse_args(words).command == words[0]
+
+
+def test_main_turns_a_bierlab_error_into_exit_2_and_one_error_line(monkeypatch, capsys):
+    monkeypatch.setattr(sys, "argv", ["bierlab", "complex", "--build", "dodecahedron:12"])
+    with pytest.raises(SystemExit) as exc:
+        main()
+    assert exc.value.code == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    lines = captured.err.splitlines()
+    assert len(lines) == 1 and lines[0].startswith("error: unknown builder 'dodecahedron'")
+
+
+def test_the_cache_directory_defaults_to_the_environment(tmp_path, monkeypatch):
+    cache_dir = tmp_path / "cache"
+    monkeypatch.setenv("BIERLAB_CACHE", str(cache_dir))
+    k = tmp_path / "k.json"
+    run(["complex", "--build", "cycle:5", "--out", str(k)])
+    args = ["betti", "--in", str(k), "--out", str(tmp_path / "o.json")]
+    assert run(args + ["--no-cache"]) == 0
+    assert not cache_dir.exists()
+    assert run(args) == 0
+    assert len(os.listdir(cache_dir)) == 1

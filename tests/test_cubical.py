@@ -153,6 +153,13 @@ def test_cubical_homology_refuses_a_large_ground_set_before_eliminating(monkeypa
         cubical_homology(vertex)
 
 
+@pytest.mark.parametrize("p", [4, 9])
+def test_cubical_homology_refuses_a_characteristic_that_is_not_prime(p):
+    rim = boundary_complex(z_complex(points(3, 3)))
+    with pytest.raises(InvalidInput):
+        cubical_homology(rim, p)
+
+
 def test_gw_partition_check_counts():
     report = gw_partition_check(points(3, 3), resolution=4, seed=7)
     assert report.grid_points == 125
