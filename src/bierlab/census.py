@@ -4,7 +4,7 @@ suites.
 Enumeration is by depth-first search over antichains (facet sets of
 complexes, maximal-monomial sets of multicomplexes) with canonical-form
 deduplication, so censuses are duplicate-free and deterministically
-ordered.  Each suite returns a ``VerificationReport``; a release-quality
+ordered.  Each suite fills in a ``VerificationReport``; a release-quality
 run has empty counterexample lists.
 """
 
@@ -28,6 +28,7 @@ from .complexes import (
     is_flag,
     make_complex,
     minimal_nonfaces,
+    subset_of,
     suspension,
 )
 from .duality import (
@@ -90,7 +91,7 @@ def all_labeled_complexes(m: int, include_simplex: bool = True) -> list[Complex]
     if m > 5:
         raise ResourceLimit("labeled enumeration is doubly exponential; need m <= 5")
     out = []
-    for chain in _antichains(range(1, 1 << m), lambda a, b: a & b == a):
+    for chain in _antichains(range(1, 1 << m), subset_of):
         k = Complex(m, chain if chain else (0,))
         if not include_simplex and k.facets == ((1 << m) - 1,):
             continue
@@ -231,14 +232,23 @@ REPORT_SCHEMA_VERSION = 1
 
 @dataclass
 class VerificationReport:
+    """Per-instance verdicts of one suite; ``check`` records each."""
+
     suite: str
-    instance_count: int
-    pass_count: int
-    counterexamples: list
+    instance_count: int = 0
+    pass_count: int = 0
+    counterexamples: list = field(default_factory=list)
     details: dict = field(default_factory=dict)
 
     def __post_init__(self):
         assert self.pass_count + len(self.counterexamples) == self.instance_count
+
+    def check(self, ok: bool, payload):
+        self.instance_count += 1
+        if ok:
+            self.pass_count += 1
+        else:
+            self.counterexamples.append(payload)
 
     @property
     def ok(self) -> bool:
@@ -253,31 +263,6 @@ class VerificationReport:
             "counterexamples": self.counterexamples,
             "details": self.details,
         }
-
-
-class _Suite:
-    """Collects per-instance verdicts and builds the report."""
-
-    def __init__(self, name: str):
-        self.name = name
-        self.passed = 0
-        self.counterexamples: list = []
-        self.details: dict = {}
-
-    def check(self, ok: bool, payload):
-        if ok:
-            self.passed += 1
-        else:
-            self.counterexamples.append(payload)
-
-    def report(self) -> VerificationReport:
-        return VerificationReport(
-            self.name,
-            self.passed + len(self.counterexamples),
-            self.passed,
-            self.counterexamples,
-            self.details,
-        )
 
 
 def _census_no_simplex(m: int) -> list[Complex]:
@@ -299,8 +284,7 @@ def _bier_spheres(m: int) -> tuple[tuple[Complex, Complex, str], ...]:
 # the suites
 
 
-def _suite_bier_1dim(seed: int, sample) -> VerificationReport:
-    suite = _Suite("bier-1dim")
+def _suite_bier_1dim(report: VerificationReport, seed: int, sample) -> None:
     polygon_keys = {canonical_key(cycle(n)): n for n in (3, 4, 5, 6)}
     named = [
         ([[1, 2], [1, 3], [2, 3]], 3),
@@ -312,36 +296,32 @@ def _suite_bier_1dim(seed: int, sample) -> VerificationReport:
     found = {}
     for k, _sphere, key in _bier_spheres(3):
         gon = polygon_keys.get(key)
-        suite.check(gon is not None, {"complex": k.facet_sets(), "sphere": key})
+        report.check(gon is not None, {"complex": k.facet_sets(), "sphere": key})
         if gon is not None:
             found.setdefault(gon, 0)
             found[gon] += 1
     for gens, gon in named:
         k = make_complex(3, gens)
         got = polygon_keys.get(canonical_key(drop_ghosts(bier_sphere(k))))
-        suite.check(got == gon, {"generators": gens, "expected": gon, "got": got})
-    suite.details["classes"] = sorted(found)
-    suite.check(sorted(found) == [3, 4, 5, 6], {"classes": sorted(found)})
-    return suite.report()
+        report.check(got == gon, {"generators": gens, "expected": gon, "got": got})
+    report.details["classes"] = sorted(found)
+    report.check(sorted(found) == [3, 4, 5, 6], {"classes": sorted(found)})
 
 
-def _suite_bier_13types(seed: int, sample) -> VerificationReport:
-    suite = _Suite("bier-13types")
+def _suite_bier_13types(report: VerificationReport, seed: int, sample) -> None:
     spheres: dict[str, Complex] = {}
     for _k, sphere, key in _bier_spheres(4):
         spheres.setdefault(key, sphere)
     for key, sphere in sorted(spheres.items()):
-        suite.check(
+        report.check(
             sphere.dim == 2 and homology_sphere_check(sphere, 3),
             {"sphere": key, "reason": "not a 2-dimensional homology sphere"},
         )
-    suite.details["distinct_types"] = len(spheres)
-    suite.check(len(spheres) == 13, {"expected": 13, "found": len(spheres)})
-    return suite.report()
+    report.details["distinct_types"] = len(spheres)
+    report.check(len(spheres) == 13, {"expected": 13, "found": len(spheres)})
 
 
-def _suite_flag_bier(seed: int, sample) -> VerificationReport:
-    suite = _Suite("flag-bier")
+def _suite_flag_bier(report: VerificationReport, seed: int, sample) -> None:
     kinds: dict[str, int] = {}
     for m in (3, 4, 5):
         for k in _census_no_simplex(m):
@@ -349,12 +329,11 @@ def _suite_flag_bier(seed: int, sample) -> VerificationReport:
             if not cls.flag:
                 continue
             ok = cls.flag_kind is not None
-            suite.check(ok, {"m": m, "complex": k.facet_sets()})
+            report.check(ok, {"m": m, "complex": k.facet_sets()})
             if ok:
                 label = f"{cls.flag_kind.family}:n={cls.flag_kind.n}"
                 kinds[label] = kinds.get(label, 0) + 1
-    suite.details["kinds"] = dict(sorted(kinds.items()))
-    return suite.report()
+    report.details["kinds"] = dict(sorted(kinds.items()))
 
 
 @lru_cache(maxsize=None)
@@ -388,8 +367,7 @@ def _murai_spheres(total: int):
     return tuple(rows)
 
 
-def _suite_flag_murai(seed: int, sample) -> VerificationReport:
-    suite = _Suite("flag-murai")
+def _suite_flag_murai(report: VerificationReport, seed: int, sample) -> None:
     kinds: dict[str, int] = {}
     one_dim_classes: set[str] = set()
     for total in (2, 3, 4):
@@ -398,23 +376,22 @@ def _suite_flag_murai(seed: int, sample) -> VerificationReport:
             if not cls.flag:
                 continue
             ok = cls.flag_kind is not None
-            suite.check(ok, {"c": m.c, "max_monomials": m.max_monomials})
+            report.check(ok, {"c": m.c, "max_monomials": m.max_monomials})
             if ok:
                 label = f"{cls.flag_kind.family}:n={cls.flag_kind.n}"
                 kinds[label] = kinds.get(label, 0) + multiplicity
             if total == 3:
                 one_dim_classes.add(key)
     expected = {canonical_key(cycle(n)) for n in (4, 5, 6)}
-    suite.details["kinds"] = dict(sorted(kinds.items()))
-    suite.details["one_dim_class_count"] = len(one_dim_classes)
-    suite.check(
+    report.details["kinds"] = dict(sorted(kinds.items()))
+    report.details["one_dim_class_count"] = len(one_dim_classes)
+    report.check(
         one_dim_classes == expected,
         {"expected": "boundaries of the 4-, 5- and 6-gon", "found": sorted(one_dim_classes)},
     )
-    return suite.report()
 
 
-def _suite_golod(seed: int, sample) -> VerificationReport:
+def _suite_golod(report: VerificationReport, seed: int, sample) -> None:
     """The Golod theorem on ghost-free Bier spheres, over the rationals and
     GF(2): a Bier sphere is product-Golod iff it is the simplex boundary,
     and minimally non-Golod iff it is the nerve of a truncation polytope
@@ -431,7 +408,6 @@ def _suite_golod(seed: int, sample) -> VerificationReport:
     that is the m = 3 class of an edge plus a ghost vertex, whose Bier
     sphere is a 4-gon.
     """
-    suite = _Suite("golod")
     verdict_cache: dict[tuple[str, int], tuple[bool, bool]] = {}
     outside_k_family = []
     sampled = False
@@ -464,7 +440,7 @@ def _suite_golod(seed: int, sample) -> VerificationReport:
                             "got_min_non_golod": got[1],
                         }
                     )
-            suite.check(
+            report.check(
                 not mismatches,
                 {
                     "m": m,
@@ -474,9 +450,8 @@ def _suite_golod(seed: int, sample) -> VerificationReport:
                     "mismatches": mismatches,
                 },
             )
-    suite.details["coverage"] = "sampled" if sampled else "complete"
-    suite.details["truncations_outside_k_family"] = outside_k_family
-    return suite.report()
+    report.details["coverage"] = "sampled" if sampled else "complete"
+    report.details["truncations_outside_k_family"] = outside_k_family
 
 
 def _sphere_classes() -> dict[str, Complex]:
@@ -492,22 +467,19 @@ def _sphere_classes() -> dict[str, Complex]:
     return out
 
 
-def _suite_dehn_sommerville(seed: int, sample) -> VerificationReport:
-    suite = _Suite("dehn-sommerville")
+def _suite_dehn_sommerville(report: VerificationReport, seed: int, sample) -> None:
     spheres = _sphere_classes()
     for key in sorted(spheres):
-        suite.check(
+        report.check(
             is_dehn_sommerville(spheres[key]),
             {"sphere": key, "h": h_vector(spheres[key])},
         )
-    suite.details["sphere_classes"] = len(spheres)
-    return suite.report()
+    report.details["sphere_classes"] = len(spheres)
 
 
-def _suite_np_gamma(seed: int, sample) -> VerificationReport:
+def _suite_np_gamma(report: VerificationReport, seed: int, sample) -> None:
     """Nevo-Petersen at desk scale: gamma of every flag sphere in scope is
     the f-vector of some flag complex, found by exhaustive search."""
-    suite = _Suite("np-gamma")
     spheres = _sphere_classes()
     for key in sorted(spheres):
         sphere = spheres[key]
@@ -515,18 +487,16 @@ def _suite_np_gamma(seed: int, sample) -> VerificationReport:
             continue
         gamma = gamma_vector(sphere)
         if gamma is None:
-            suite.check(False, {"sphere": key, "reason": "h-vector not symmetric"})
+            report.check(False, {"sphere": key, "reason": "h-vector not symmetric"})
             continue
         witness = realize_gamma_as_flag_f(gamma)
-        suite.check(
+        report.check(
             witness is not None,
             {"sphere": key, "gamma": gamma},
         )
-    return suite.report()
 
 
-def _suite_murai_sphere(seed: int, sample) -> VerificationReport:
-    suite = _Suite("murai-sphere")
+def _suite_murai_sphere(report: VerificationReport, seed: int, sample) -> None:
     verdicts: dict[tuple[int, str], bool] = {}
     labeled = 0
     for total in (1, 2, 3, 4, 5):
@@ -536,20 +506,18 @@ def _suite_murai_sphere(seed: int, sample) -> VerificationReport:
             if ok is None:
                 ok = sphere.dim == total - 2 and homology_sphere_check(sphere, total - 1)
                 verdicts[(total, key)] = ok
-            suite.check(ok, {"c": caps, "max_monomials": m.max_monomials})
-    suite.details["labeled_multicomplexes"] = labeled
-    return suite.report()
+            report.check(ok, {"c": caps, "max_monomials": m.max_monomials})
+    report.details["labeled_multicomplexes"] = labeled
 
 
-def _suite_ideal_consistency(seed: int, sample) -> VerificationReport:
-    suite = _Suite("ideal-consistency")
+def _suite_ideal_consistency(report: VerificationReport, seed: int, sample) -> None:
     for total in (1, 2, 3, 4):
         for c in compositions(total):
             for m in enumerate_multicomplexes(c):
                 ideal = murai_face_ideal(m)
                 sphere = murai_sphere(m)
                 ok = squarefree_support_masks(ideal) == minimal_nonfaces(sphere)
-                suite.check(ok, {"c": c, "max_monomials": m.max_monomials})
+                report.check(ok, {"c": c, "max_monomials": m.max_monomials})
     # caps (1,...,1): the construction equals the Bier sphere on the nose
     relabel_checked = 0
     for m_ground in (1, 2, 3, 4):
@@ -558,17 +526,15 @@ def _suite_ideal_consistency(seed: int, sample) -> VerificationReport:
             sphere = bier_sphere(k)
             relabeled = sorted(mapping.apply(f) for f in sphere.facets)
             murai = murai_sphere(multicomplex_of_complex(k))
-            suite.check(
+            report.check(
                 relabeled == list(murai.facets),
                 {"m": m_ground, "complex": k.facet_sets()},
             )
             relabel_checked += 1
-    suite.details["relabeling_instances"] = relabel_checked
-    return suite.report()
+    report.details["relabeling_instances"] = relabel_checked
 
 
-def _suite_cubical(seed: int, sample) -> VerificationReport:
-    suite = _Suite("cubical")
+def _suite_cubical(report: VerificationReport, seed: int, sample) -> None:
     for m in (1, 2, 3, 4):
         for k in _census_no_simplex(m):
             sphere = bier_sphere(k)
@@ -603,17 +569,16 @@ def _suite_cubical(seed: int, sample) -> VerificationReport:
             )
             if predicate_cells != z.cells:
                 issues.append("membership predicate admits extra cells")
-            suite.check(not issues, {"m": m, "complex": k.facet_sets(), "issues": issues})
+            report.check(not issues, {"m": m, "complex": k.facet_sets(), "issues": issues})
     hexagon_z = z_complex(make_complex(3, [[1], [2], [3]]))
     rim = boundary_complex(hexagon_z)
     squares = hexagon_z.maximal_cells()
     verts = [c for c in rim.cells if cell_dim(c) == 0]
     edges = [c for c in rim.cells if cell_dim(c) == 1]
-    suite.check(
+    report.check(
         len(squares) == 6 and len(verts) == 12 and len(edges) == 12,
         {"squares": len(squares), "vertices": len(verts), "edges": len(edges)},
     )
-    return suite.report()
 
 
 def euler_from_cells(c) -> int:
@@ -621,32 +586,28 @@ def euler_from_cells(c) -> int:
     return sum((-1) ** d * len(lst) for d, lst in enumerate(by_dim))
 
 
-def _suite_gw_duality(seed: int, sample) -> VerificationReport:
-    suite = _Suite("gw-duality")
+def _suite_gw_duality(report: VerificationReport, seed: int, sample) -> None:
     points_checked = 0
     for m in (1, 2, 3, 4):
         for k in _census_no_simplex(m):
-            report = gw_partition_check(k, resolution=4, seed=seed)
-            points_checked += report.grid_points + report.random_points
-            suite.check(
-                not report.violations,
-                {"m": m, "complex": k.facet_sets(), "violations": report.violations[:3]},
+            partition = gw_partition_check(k, resolution=4, seed=seed)
+            points_checked += partition.grid_points + partition.random_points
+            report.check(
+                not partition.violations,
+                {"m": m, "complex": k.facet_sets(), "violations": partition.violations[:3]},
             )
-    suite.details["points_checked"] = points_checked
-    return suite.report()
+    report.details["points_checked"] = points_checked
 
 
-def _suite_suspension(seed: int, sample) -> VerificationReport:
-    suite = _Suite("suspension")
+def _suite_suspension(report: VerificationReport, seed: int, sample) -> None:
     for m in (1, 2, 3, 4):
         for k in _census_no_simplex(m):
             lhs = bier_sphere(cone(k))
             rhs = suspension(bier_sphere(k))
-            suite.check(
+            report.check(
                 are_isomorphic(lhs, rhs) is not None,
                 {"m": m, "complex": k.facet_sets()},
             )
-    return suite.report()
 
 
 SUITES = {
@@ -667,8 +628,12 @@ SUITES = {
 
 def verify(suite: str, seed: int = 0, sample: int | None = None) -> VerificationReport:
     """Run one verification suite; reports are deterministic given the
-    arguments.  ``sample`` caps the census size of the heavy suites and is
-    flagged in the report details (never silent)."""
+    arguments.  Only the ``golod`` suite reads ``sample``: it checks that many
+    Bier spheres per m at most, flagged in its report details (never silent)."""
     if suite not in SUITES:
         raise InvalidInput(f"unknown suite {suite!r}; choose from {sorted(SUITES)}")
-    return SUITES[suite](seed, sample)
+    if sample is not None and sample < 1:
+        raise InvalidInput(f"sample size must be at least 1, got {sample}")
+    report = VerificationReport(suite)
+    SUITES[suite](report, seed, sample)
+    return report

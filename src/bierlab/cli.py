@@ -13,6 +13,7 @@ takes only those options and ``COMMON``; ``OPTIONS`` declares each once.
 from __future__ import annotations
 
 import argparse
+import functools
 import sys
 from multiprocessing import Pool
 from typing import Callable, NamedTuple
@@ -45,14 +46,23 @@ def characteristic(text: str) -> FieldTag:
         raise argparse.ArgumentTypeError(str(exc)) from None
 
 
+def sample_size(text: str) -> int:
+    """``--sample``: refused while parsing, before any work, unless at least 1."""
+    n = int(text)
+    if n < 1:
+        raise argparse.ArgumentTypeError(f"sample size must be at least 1, got {n}")
+    return n
+
+
 OPTIONS = {
     "--build": dict(required=True, help="builder spec, e.g. cycle:6, points:3,3, nerve-q23"),
     "--in": dict(dest="infile", required=True),
     "--m": dict(type=int, required=True),
     "--suite": dict(required=True,
                     help="suite name or 'all': " + ", ".join(sorted(censusmod.SUITES))),
-    "--sample": dict(type=int, default=None,
-                     help="cap heavy censuses at this many instances (flagged in report)"),
+    "--sample": dict(type=sample_size, default=None,
+                     help="golod suite only: check at most this many Bier spheres per m, "
+                          "drawn with --seed (flagged in its report)"),
     "--oracle": dict(action="store_true", help="also run the Koszul oracle and cross-check"),
     "--boundary": dict(action="store_true", help="emit the boundary cells"),
     "--homology": dict(action="store_true", help="reduced homology ranks"),
@@ -271,6 +281,7 @@ COMMANDS = {
 }
 
 
+@functools.cache  # parsing leaves the parser unchanged, so one serves every run
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="bierlab",

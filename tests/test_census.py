@@ -182,3 +182,13 @@ def test_warm_bier_tables_are_not_canonicalized_again(monkeypatch):
     assert verify("bier-13types").ok
     assert verify("golod", sample=3).ok
     assert not census_spheres.intersection(seen)
+
+
+@pytest.mark.parametrize("sample", [0, -1])
+def test_verify_refuses_a_sample_below_one_before_any_work(monkeypatch, sample):
+    def no_work(*args, **kwargs):
+        raise AssertionError("work started before the refusal")
+
+    monkeypatch.setitem(census.SUITES, "golod", no_work)
+    with pytest.raises(InvalidInput, match=f"sample size must be at least 1, got {sample}"):
+        census.verify("golod", sample=sample)

@@ -330,3 +330,33 @@ def test_the_cache_directory_defaults_to_the_environment(tmp_path, monkeypatch):
     assert not cache_dir.exists()
     assert run(args) == 0
     assert len(os.listdir(cache_dir)) == 1
+
+
+@pytest.mark.parametrize("value", ["-1", "0"])
+def test_a_sample_below_one_is_refused_while_parsing(monkeypatch, capsys, value):
+    def no_work(*args, **kwargs):
+        raise AssertionError("work started before the refusal")
+
+    monkeypatch.setattr(cli.censusmod, "verify", no_work)
+    with pytest.raises(SystemExit) as exc:
+        run(["verify", "--suite", "golod", "--sample", value])
+    assert exc.value.code == 2
+    errors = [line for line in capsys.readouterr().err.splitlines() if "error:" in line]
+    assert errors == [
+        f"bierlab verify: error: argument --sample: sample size must be at least 1, got {value}"
+    ]
+
+
+def test_one_parser_serves_every_run_and_no_option_outlives_its_run(tmp_path):
+    assert build_parser() is build_parser()
+    k = tmp_path / "k.json"
+    out = tmp_path / "o.json"
+    run(["complex", "--build", "points:3,3", "--out", str(k)])
+    run(["betti", "--in", str(k), "--oracle", "--no-cache", "--out", str(out)])
+    assert read(out)["oracle_agrees"] is True
+    run(["betti", "--in", str(k), "--no-cache", "--out", str(out)])
+    assert "oracle_agrees" not in read(out)
+    run(["cubical", "--in", str(k), "--gw", "--out", str(out)])
+    assert "gw" in read(out)
+    run(["cubical", "--in", str(k), "--out", str(out)])
+    assert "gw" not in read(out)

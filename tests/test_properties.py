@@ -2,6 +2,7 @@
 
 from functools import lru_cache
 
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -12,8 +13,13 @@ from bierlab.complexes import (
     are_isomorphic,
     canonical_form,
     canonical_key,
+    check_antichain,
+    maximal,
+    subset_of,
 )
 from bierlab.duality import alexander_dual, bier_sphere
+from bierlab.errors import InvalidInput
+from bierlab.multicomplexes import _divides
 from bierlab.tor import GF2, QQ, hochster_betti, koszul_betti_oracle
 
 SETTINGS = settings(max_examples=60, deadline=None)
@@ -74,3 +80,50 @@ def test_bier_sphere_matches_brute_force(k):
 @given(small_complexes(), st.sampled_from([QQ, GF2]))
 def test_hochster_betti_matches_the_koszul_oracle(k, field):
     assert hochster_betti(k, field).table == koszul_betti_oracle(k, field).table
+
+
+# the antichain toolkit, against its definitions, in four orders
+ORDERS = {
+    "inclusion": (st.integers(0, 31), subset_of),
+    "reverse inclusion": (st.integers(0, 31), lambda a, b: subset_of(b, a)),
+    "divisibility": (st.tuples(st.integers(0, 3), st.integers(0, 2)), _divides),
+    "reverse divisibility": (st.tuples(st.integers(0, 3), st.integers(0, 2)),
+                             lambda a, b: _divides(b, a)),
+}
+
+
+@st.composite
+def ordered_lists(draw):
+    """Random items of one order, duplicates and the empty list included."""
+    elements, below = ORDERS[draw(st.sampled_from(sorted(ORDERS)))]
+    return draw(st.lists(elements, max_size=9)), below
+
+
+@SETTINGS
+@given(ordered_lists())
+def test_maximal_keeps_exactly_the_items_below_no_other(case):
+    items, below = case
+    got = maximal(items, below)
+    assert list(got) == sorted(set(got)) and set(got) <= set(items)
+    for a in items:
+        dominated = any(below(a, b) and b != a for b in items)
+        assert (a in got) != dominated
+        assert any(below(a, top) for top in got)
+
+
+@SETTINGS
+@given(ordered_lists())
+def test_check_antichain_refuses_exactly_the_comparable_pairs(case):
+    items, below = case
+    comparable = any(
+        below(items[i], items[j])
+        for i in range(len(items))
+        for j in range(len(items))
+        if i != j
+    )
+    if comparable:
+        with pytest.raises(InvalidInput, match="^not an antichain$"):
+            check_antichain(items, below, "not an antichain")
+    else:
+        check_antichain(items, below, "not an antichain")
+    check_antichain(maximal(items, below), below, "not an antichain")

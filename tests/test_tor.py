@@ -292,3 +292,12 @@ def test_subset_table_is_keyed_by_complex_and_field():
     assert fresh is not c5 and fresh == c5
     assert tor_products(fresh, QQ) == tor_products(c5, QQ) == first
     assert subset_cohomology(fresh, QQ) is subset_cohomology(c5, QQ)
+
+
+@pytest.mark.parametrize("tag", [QQ, GF2])
+def test_has_witness_agrees_with_the_witness_list(tag):
+    for sphere in spheres_census(4):
+        table = SubsetCohomology(sphere, tag)
+        full = sphere.full_mask
+        for allowed in [full] + [full ^ (1 << v) for v in range(sphere.m)]:
+            assert table.has_witness(allowed) == bool(table.witnesses(allowed))
