@@ -252,14 +252,24 @@ class SubsetCohomology:
     Shared by the Hochster sweep, the product scans of a complex and of all
     its deletions: the full subcomplexes of a deletion are exactly the K_J
     avoiding the deleted element, so one table serves every scan.
+
+    Ranks go through strong collapses: when a vertex u dominates v in K_J
+    (every facet of K_J through v contains u), K_J strong-deformation-retracts
+    onto K_{J-v} (Barmak and Minian 2012), so both have the same ranks over
+    every field.  Representatives and products still use K_J itself.
     """
 
     def __init__(self, k: Complex, f: FieldTag):
         self.k = k
         self.field = f
         self.p = f.p
+        # face f -> the vertices u for which f + {u} is a face
+        self._star: dict[int, int] = {}
+        for facet in k.facets:
+            for face in submasks(facet):
+                self._star[face] = self._star.get(face, 0) | facet
         # lexicographic vertex order, so each K_J's groups need no sort
-        self._faces = sorted(faces(k), key=vertices_of)
+        self._faces = sorted(self._star, key=vertices_of)
         self._groups: dict[int, list[list[int]]] = {}
         self._ranks: dict[int, dict[int, int]] = {}
         self._reps: dict[tuple[int, int], list] = {}
@@ -273,11 +283,38 @@ class SubsetCohomology:
             self._groups[j_mask] = g
         return g
 
+    def _dominated(self, j_mask: int) -> int:
+        """Bit of the lowest vertex of J that another vertex of J dominates
+        in K_J, or 0."""
+        rest = j_mask
+        while rest:
+            v_bit = rest & -rest
+            rest ^= v_bit
+            dom = j_mask ^ v_bit
+            for facet in self.k.facets:
+                trace = facet & j_mask
+                if trace & v_bit:
+                    dom &= self._star[trace]
+                    if not dom:
+                        break
+            if dom:
+                return v_bit
+        return 0
+
     def ranks(self, j_mask: int) -> dict[int, int]:
-        r = self._ranks.get(j_mask)
-        if r is None:
-            r = _cohomology_ranks(self.groups(j_mask), self.p)
-            self._ranks[j_mask] = r
+        """Reduced cohomology ranks of K_J by degree.  The returned dict is
+        shared between subsets and must not be mutated."""
+        visited = []
+        while j_mask not in self._ranks:
+            v_bit = self._dominated(j_mask)
+            if not v_bit:
+                self._ranks[j_mask] = _cohomology_ranks(self.groups(j_mask), self.p)
+                break
+            visited.append(j_mask)
+            j_mask ^= v_bit
+        r = self._ranks[j_mask]
+        for j in visited:
+            self._ranks[j] = r
         return r
 
     def representatives(self, j_mask: int, size: int) -> list:
@@ -347,6 +384,11 @@ class SubsetCohomology:
         return vec
 
     def product_is_nonzero(self, a_mask, sa, a_vec, b_mask, sb, b_vec) -> bool:
+        """Whether the product of two representatives is not a coboundary.
+        Needs the ranks of K_{a+b}, which every scan computes first."""
+        # in a degree with no cohomology every cocycle is a coboundary
+        if sa + sb - 1 not in self._ranks[a_mask | b_mask]:
+            return False
         vec = self.product_class_vector(a_mask, sa, a_vec, b_mask, sb, b_vec)
         if not any(vec):
             return False

@@ -21,6 +21,7 @@ from bierlab.duality import alexander_dual, bier_sphere
 from bierlab.errors import InvalidInput
 from bierlab.multicomplexes import _divides
 from bierlab.tor import GF2, QQ, hochster_betti, koszul_betti_oracle
+from conftest import assert_subset_ranks_agree
 
 SETTINGS = settings(max_examples=60, deadline=None)
 
@@ -80,6 +81,12 @@ def test_bier_sphere_matches_brute_force(k):
 @given(small_complexes(), st.sampled_from([QQ, GF2]))
 def test_hochster_betti_matches_the_koszul_oracle(k, field):
     assert hochster_betti(k, field).table == koszul_betti_oracle(k, field).table
+
+
+@SETTINGS
+@given(small_complexes(max_m=7), st.sampled_from([QQ, GF2]))
+def test_subset_ranks_match_the_full_sweep(k, field):
+    assert_subset_ranks_agree(k, field)
 
 
 # the antichain toolkit, against its definitions, in four orders

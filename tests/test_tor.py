@@ -35,7 +35,7 @@ from bierlab.tor import (
     subset_cohomology,
     tor_products,
 )
-from conftest import random_complex
+from conftest import assert_subset_ranks_agree, random_complex
 
 
 def spheres_census(max_m):
@@ -301,3 +301,34 @@ def test_has_witness_agrees_with_the_witness_list(tag):
         full = sphere.full_mask
         for allowed in [full] + [full ^ (1 << v) for v in range(sphere.m)]:
             assert table.has_witness(allowed) == bool(table.witnesses(allowed))
+
+
+@pytest.mark.parametrize("tag", [QQ, GF2])
+def test_subset_ranks_agree_with_the_full_sweep(tag):
+    spheres = [
+        bier_sphere(k)
+        for m in range(1, 5)
+        for k in enumerate_complexes(m, include_simplex=False)
+    ]
+    ghost = make_complex(4, [[1, 2], [2, 3]])
+    isolated = make_complex(4, [[1, 2, 3], [4]])
+    corpus = spheres + [drop_ghosts(s) for s in spheres]
+    for k in corpus + [RP2, Complex(3, (0,)), ghost, isolated]:
+        assert_subset_ranks_agree(k, tag)
+
+
+def test_a_cone_sweep_eliminates_only_singletons(monkeypatch):
+    # every K_J of a simplex is a cone, so strong collapses take each
+    # nonempty J down to a singleton before any elimination
+    simplex = make_complex(5, [[1, 2, 3, 4, 5]])
+    calls = []
+    real = linalg.rank
+    monkeypatch.setattr(linalg, "rank", lambda *a: calls.append(a) or real(*a))
+    table = SubsetCohomology(simplex, QQ)
+    for j_mask in [0] + [1 << v for v in range(simplex.m)]:
+        table.ranks(j_mask)
+    singletons = len(calls)
+    del calls[:]
+    subset_cohomology.cache_clear()
+    assert hochster_betti(simplex, QQ).table == {(0, 0): 1}
+    assert len(calls) == singletons > 0
