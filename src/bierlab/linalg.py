@@ -2,14 +2,17 @@
 
 Matrices are lists of rows; input entries are ints (the boundary matrices
 of this package, all built by ``boundary_matrix``, are integer matrices).
-Characteristic 0 means the rationals: ranks use fraction-free (Bareiss)
-elimination on ints, echelon forms use ``fractions.Fraction``.
-Characteristic p works modulo p, with a bitmask fast path for p = 2.  No
-floating point anywhere.
+Characteristic 0 means the rationals, computed fraction-free on ints:
+ranks use Bareiss elimination, and echelon forms keep primitive integer
+rows, each a positive multiple of its reduced-row-echelon row.
+Characteristic p works modulo p, with a bitmask fast path for p = 2 ranks.
+No floating point anywhere; ``Fraction`` appears only in ``rref_row``.
 """
 
 from __future__ import annotations
 
+import bisect
+import math
 from fractions import Fraction
 
 from .errors import InvalidInput
@@ -144,67 +147,95 @@ def homology_ranks(graded, boundary, p: int) -> list[int]:
 # ---------------------------------------------------------------------------
 # echelon machinery for representatives and span membership
 
-# Vectors are lists of Fraction (p = 0) or ints in [0, p).
+# Vectors are lists of ints: primitive integer rows over the rationals
+# (p = 0), residues in [0, p) over GF(p).
 
 
 def to_field(vec, p):
+    """Ints for the echelon: over the rationals a positive multiple of
+    ``vec`` clearing its denominators, over GF(p) its residues."""
     if p == 0:
-        return [Fraction(x) for x in vec]
+        d = math.lcm(*(x.denominator for x in vec))
+        return [x.numerator * (d // x.denominator) for x in vec]
     return [x % p for x in vec]
 
 
 def _normalize(vec, lead_col, p):
+    """The canonical multiple of ``vec``: pivot 1 over GF(p); over the
+    rationals the primitive integer row (entries of gcd 1), pivot positive."""
     lead = vec[lead_col]
     if p == 0:
-        return [x / lead for x in vec]
+        g = math.gcd(*vec)
+        return [x // g for x in vec] if lead > 0 else [-x // g for x in vec]
+    if lead == 1:
+        return vec
     inv = pow(lead, p - 2, p)
     return [(x * inv) % p for x in vec]
 
 
+def rref_row(row, p) -> tuple:
+    """An echelon row scaled to its reduced-row-echelon row, pivot 1."""
+    if p:
+        return tuple(row)
+    lead = next(x for x in row if x)
+    return tuple(Fraction(x, lead) for x in row)
+
+
 class Echelon:
-    """Growing reduced echelon basis of a subspace; supports residuals."""
+    """Growing reduced echelon basis of a subspace; supports residuals.
+
+    Each row is zero at every other row's pivot, and a row's pivot is its
+    first nonzero entry.  Over GF(p) the rows are the reduced row echelon
+    form itself.  Over the rationals they are fraction-free: each is the
+    primitive integer multiple (pivot positive) of its reduced row, and a
+    vector v is cleared at a row's pivot by v <- (a/g) v - (c/g) row, with
+    a the row's pivot entry, c that of v and g = gcd(a, c).
+    """
 
     def __init__(self, p: int, ncols: int):
         self.p = p
         self.ncols = ncols
-        self.rows: list[list] = []
+        self.rows: list[list[int]] = []
         self.pivots: list[int] = []
 
-    def residual(self, vec) -> list:
-        """Reduce ``vec`` (ints or field elements) against the basis."""
+    def _clear(self, v, row, piv) -> list[int]:
+        """``v`` minus a multiple of ``row``, zero at ``row``'s pivot ``piv``;
+        over the rationals ``v`` is first scaled by a positive integer."""
+        c = v[piv]
+        if self.p:
+            return [(x - c * y) % self.p for x, y in zip(v, row)]
+        a = row[piv]
+        g = math.gcd(a, c)
+        a //= g
+        c //= g
+        return [a * x - c * y for x, y in zip(v, row)]
+
+    def residual(self, vec) -> list[int]:
+        """Reduce ``vec`` against the basis: the residual over GF(p), a
+        positive integer multiple of it over the rationals."""
         v = to_field(vec, self.p)
-        p = self.p
         for row, piv in zip(self.rows, self.pivots):
-            c = v[piv]
-            if c:
-                if p == 0:
-                    v = [a - c * b for a, b in zip(v, row)]
-                else:
-                    v = [(a - c * b) % p for a, b in zip(v, row)]
+            if v[piv]:
+                v = self._clear(v, row, piv)
         return v
 
     def contains(self, vec) -> bool:
         return not any(self.residual(vec))
 
-    def add(self, vec) -> list | None:
-        """Insert ``vec``; returns the new normalized basis row, or None."""
+    def add(self, vec) -> list[int] | None:
+        """Insert ``vec``; returns the new basis row, or None.  Later adds
+        keep the returned row reduced in place."""
         v = self.residual(vec)
         piv = next((j for j, x in enumerate(v) if x), None)
         if piv is None:
             return None
         v = _normalize(v, piv, self.p)
         for row, rp in zip(self.rows, self.pivots):
-            c = row[piv]
-            if c:
-                if self.p == 0:
-                    row[:] = [a - c * b for a, b in zip(row, v)]
-                else:
-                    row[:] = [(a - c * b) % self.p for a, b in zip(row, v)]
-        self.rows.append(v)
-        self.pivots.append(piv)
-        order = sorted(range(len(self.pivots)), key=lambda i: self.pivots[i])
-        self.rows = [self.rows[i] for i in order]
-        self.pivots = [self.pivots[i] for i in order]
+            if row[piv]:
+                row[:] = _normalize(self._clear(row, v, piv), rp, self.p)
+        at = bisect.bisect(self.pivots, piv)
+        self.rows.insert(at, v)
+        self.pivots.insert(at, piv)
         return v
 
     @property
@@ -212,8 +243,10 @@ class Echelon:
         return len(self.rows)
 
 
-def nullspace(matrix: list[list[int]], ncols: int, p: int) -> list[list]:
-    """Deterministic basis of the right kernel, from the RREF free columns."""
+def nullspace(matrix: list[list[int]], ncols: int, p: int) -> list[list[int]]:
+    """Deterministic basis of the right kernel, one vector per free column
+    of the RREF: over GF(p) the RREF kernel vector (1 at its free column),
+    over the rationals a positive integer multiple of it."""
     ech = Echelon(p, ncols)
     for row in matrix:
         ech.add(row)
@@ -222,12 +255,12 @@ def nullspace(matrix: list[list[int]], ncols: int, p: int) -> list[list]:
     for free in range(ncols):
         if free in pivset:
             continue
-        vec = [Fraction(0) if p == 0 else 0] * ncols
-        one = Fraction(1) if p == 0 else 1
-        vec[free] = one
-        for row, piv in zip(ech.rows, ech.pivots):
-            c = row[free]
-            if c:
-                vec[piv] = -c if p == 0 else (-c) % p
-        basis.append(vec)
+        hits = [(row, piv) for row, piv in zip(ech.rows, ech.pivots) if row[free]]
+        # over GF(p) every pivot is 1, and so is the scale
+        scale = math.lcm(*(row[piv] for row, piv in hits))
+        vec = [0] * ncols
+        vec[free] = scale
+        for row, piv in hits:
+            vec[piv] = -row[free] * (scale // row[piv])
+        basis.append([x % p for x in vec] if p else vec)
     return basis

@@ -116,7 +116,10 @@ def reduced_cohomology(k: Complex, f: FieldTag = QQ) -> CohomologyBasis:
     ranks = dict(sc.ranks(j_mask))
     groups = sc.groups(j_mask)
     basis = {deg: tuple(groups[deg + 1]) for deg in ranks}
-    reps = {deg: [tuple(v) for v in sc.representatives(j_mask, deg + 1)] for deg in ranks}
+    reps = {
+        deg: [linalg.rref_row(v, f.p) for v in sc.representatives(j_mask, deg + 1)]
+        for deg in ranks
+    }
     assert all(len(reps[deg]) == r for deg, r in ranks.items())
     return CohomologyBasis(f, ranks, basis, reps)
 
@@ -256,7 +259,8 @@ class SubsetCohomology:
     Ranks go through strong collapses: when a vertex u dominates v in K_J
     (every facet of K_J through v contains u), K_J strong-deformation-retracts
     onto K_{J-v} (Barmak and Minian 2012), so both have the same ranks over
-    every field.  Representatives and products still use K_J itself.
+    every field.  Representatives, primitive integer rows over the rationals
+    (``linalg.Echelon``), and products still use K_J itself.
     """
 
     def __init__(self, k: Complex, f: FieldTag):
@@ -384,11 +388,7 @@ class SubsetCohomology:
         return vec
 
     def product_is_nonzero(self, a_mask, sa, a_vec, b_mask, sb, b_vec) -> bool:
-        """Whether the product of two representatives is not a coboundary.
-        Needs the ranks of K_{a+b}, which every scan computes first."""
-        # in a degree with no cohomology every cocycle is a coboundary
-        if sa + sb - 1 not in self._ranks[a_mask | b_mask]:
-            return False
+        """Whether the product of two representatives is not a coboundary."""
         vec = self.product_class_vector(a_mask, sa, a_vec, b_mask, sb, b_vec)
         if not any(vec):
             return False
@@ -408,8 +408,13 @@ class SubsetCohomology:
     def _witnesses(self, allowed: int):
         """Nonvanishing products among subsets of ``allowed``, in scan order."""
         for a_mask, b_mask in self._pairs(allowed):
+            # _pairs swept every subset of ``allowed``; in a degree where
+            # K_{a+b} has no cohomology every product is a coboundary
+            union_ranks = self._ranks[a_mask | b_mask]
             for sa in sorted(self.ranks(a_mask)):
                 for sb in sorted(self.ranks(b_mask)):
+                    if sa + sb + 1 not in union_ranks:
+                        continue
                     reps_a = self.representatives(a_mask, sa + 1)
                     reps_b = self.representatives(b_mask, sb + 1)
                     for ia, va in enumerate(reps_a):

@@ -1,3 +1,9 @@
+import math
+from fractions import Fraction
+
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
 from bierlab import linalg
 
 # the CW structure of the real projective plane: one cell in each of
@@ -33,3 +39,79 @@ def test_homology_ranks_skips_empty_degrees(monkeypatch):
     assert linalg.homology_ranks([["v"], [], ["e2"]], rp2_boundary, 0) == [1, 0, 1]
     assert linalg.homology_ranks([], rp2_boundary, 0) == []
     assert calls == []
+
+
+def rref_oracle(matrix, ncols, p):
+    """Reduced row echelon form and pivots by plain Gauss-Jordan
+    elimination: Fractions over the rationals, residues over GF(p)."""
+    field = Fraction if p == 0 else (lambda x: x % p)
+    rows = [[field(x) for x in row] for row in matrix]
+    pivots = []
+    for col in range(ncols):
+        r = len(pivots)
+        hit = next((i for i in range(r, len(rows)) if rows[i][col]), None)
+        if hit is None:
+            continue
+        rows[r], rows[hit] = rows[hit], rows[r]
+        lead = rows[r][col]
+        inv = 1 / lead if p == 0 else pow(lead, p - 2, p)
+        rows[r] = [field(x * inv) for x in rows[r]]
+        for i in range(len(rows)):
+            c = rows[i][col]
+            if i != r and c:
+                rows[i] = [field(x - c * y) for x, y in zip(rows[i], rows[r])]
+        pivots.append(col)
+    return [tuple(row) for row in rows[: len(pivots)]], pivots
+
+
+@st.composite
+def small_matrices(draw):
+    """(p, ncols, rows, probe): a matrix up to 6 x 8 with entries in
+    [-3, 3], and a vector that is either random or in its row span."""
+    p = draw(st.sampled_from([0, 2, 3]))
+    ncols = draw(st.integers(1, 8))
+    entries = st.lists(st.integers(-3, 3), min_size=ncols, max_size=ncols)
+    rows = draw(st.lists(entries, max_size=6))
+    if rows and draw(st.booleans()):
+        coeffs = draw(st.lists(st.integers(-3, 3), min_size=len(rows), max_size=len(rows)))
+        probe = [sum(c * row[j] for c, row in zip(coeffs, rows)) for j in range(ncols)]
+    else:
+        probe = draw(entries)
+    return p, ncols, rows, probe
+
+
+@settings(max_examples=200, deadline=None)
+@given(small_matrices())
+def test_echelon_and_nullspace_match_gauss_jordan(case):
+    p, ncols, rows, probe = case
+    rref, pivots = rref_oracle(rows, ncols, p)
+    ech = linalg.Echelon(p, ncols)
+    for row in rows:
+        ech.add(row)
+    assert ech.pivots == pivots
+    assert [linalg.rref_row(row, p) for row in ech.rows] == rref
+    for row, piv in zip(ech.rows, ech.pivots):
+        assert all(type(x) is int for x in row)
+        if p == 0:
+            # primitive integer rows with a positive pivot
+            assert row[piv] > 0 and math.gcd(*row) == 1
+    rank = linalg.rank(rows, p)
+    assert ech.dim == rank
+    assert ech.contains(probe) == (linalg.rank(rows + [probe], p) == rank)
+
+    kernel = linalg.nullspace(rows, ncols, p)
+    assert len(kernel) == ncols - rank
+    free = [j for j in range(ncols) if j not in pivots]
+    for vec, col in zip(kernel, free):
+        for row in rows:
+            dot = sum(a * b for a, b in zip(row, vec))
+            assert (dot % p if p else dot) == 0
+        # a positive integer multiple of the RREF kernel vector at ``col``
+        assert vec[col] > 0 and all(type(x) is int for x in vec)
+        expected = [0] * ncols
+        expected[col] = 1
+        for row, piv in zip(rref, pivots):
+            expected[piv] = -row[col] % p if p else -row[col]
+        if p == 0:
+            vec = [x / Fraction(vec[col]) for x in vec]
+        assert vec == expected

@@ -25,6 +25,7 @@ from bierlab.tor import (
     FieldTag,
     SubsetCohomology,
     _boundary,
+    _coboundary_image,
     golod_summary,
     hochster_betti,
     homology_sphere_check,
@@ -53,11 +54,28 @@ def test_reduced_cohomology_examples():
 
 
 def test_representatives_are_cocycles_and_independent():
-    basis = reduced_cohomology(cycle(6), QQ)
-    (deg,) = basis.ranks
-    assert deg == 1 and basis.ranks[deg] == 1
-    rep = basis.representatives[deg][0]
-    assert len(rep) == len(basis.simplex_basis[deg]) == 6
+    cases = [(cycle(6), QQ), (RP2, GF2), (RP2_MINUS_TWO, QQ), (RP2_MINUS_TWO, GF3)]
+    for k, field in cases:
+        basis = reduced_cohomology(k, field)
+        groups = SubsetCohomology(k, field).groups(k.full_mask)
+        assert basis.ranks
+        for deg, r in basis.ranks.items():
+            size = deg + 1
+            reps = basis.representatives[deg]
+            assert len(reps) == r
+            image = _coboundary_image(groups, size, field.p)
+            for rep in reps:
+                assert len(rep) == len(basis.simplex_basis[deg]) == len(groups[size])
+                assert not any(_delta_of(groups, size, rep, field.p))
+                # independent modulo the coboundaries
+                assert image.add(rep) is not None
+    # the exact echelonized values: pivot 1, the rest Fractions
+    reps = reduced_cohomology(RP2_MINUS_TWO, QQ).representatives
+    assert all(type(x) is Fraction for v in reps[1] for x in v)
+    assert reps == {1: [
+        (0, 0, 0, 0, 0, 1, 0, 1, 0, 0, 0, 0, 1, 0, 0),
+        (0, 0, 0, 0, 0, 0, 1, -1, 0, 0, -1, -1, -2, -1, 0),
+    ]}
 
 
 def test_field_tag_validation():
@@ -251,6 +269,11 @@ def test_min_non_golod_uses_all_deletions():
 # the 6-vertex real projective plane: acyclic over QQ, not over GF(2)
 RP2 = make_complex(6, [
     [1, 2, 3], [1, 3, 4], [1, 4, 5], [1, 5, 6], [1, 2, 6],
+    [2, 3, 5], [2, 4, 5], [2, 4, 6], [3, 4, 6], [3, 5, 6],
+])
+# RP^2 without the triangles 123 and 145: two degree-1 classes over QQ
+RP2_MINUS_TWO = make_complex(6, [
+    [1, 3, 4], [1, 5, 6], [1, 2, 6],
     [2, 3, 5], [2, 4, 5], [2, 4, 6], [3, 4, 6], [3, 5, 6],
 ])
 
