@@ -88,6 +88,8 @@ def _antichains(items, below):
 
 def all_labeled_complexes(m: int, include_simplex: bool = True) -> list[Complex]:
     """Every simplicial complex on [m], the void complex included."""
+    if m < 0:
+        raise InvalidInput(f"ground-set size must be nonnegative, got {m}")
     if m > 5:
         raise ResourceLimit("labeled enumeration is doubly exponential; need m <= 5")
     out = []

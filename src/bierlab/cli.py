@@ -25,6 +25,7 @@ from .complexes import are_isomorphic, truncation_sphere, vertices_of
 from .cubical import (
     boundary_complex,
     cell_symbol,
+    check_cubical_homology,
     cubical_homology,
     gw_partition_check,
     z_complex,
@@ -46,11 +47,12 @@ def characteristic(text: str) -> FieldTag:
         raise argparse.ArgumentTypeError(str(exc)) from None
 
 
-def sample_size(text: str) -> int:
-    """``--sample``: refused while parsing, before any work, unless at least 1."""
+def positive_int(text: str) -> int:
+    """``--sample`` and ``--jobs``: refused while parsing, before any work,
+    unless at least 1."""
     n = int(text)
     if n < 1:
-        raise argparse.ArgumentTypeError(f"sample size must be at least 1, got {n}")
+        raise argparse.ArgumentTypeError(f"must be at least 1, got {n}")
     return n
 
 
@@ -60,7 +62,7 @@ OPTIONS = {
     "--m": dict(type=int, required=True),
     "--suite": dict(required=True,
                     help="suite name or 'all': " + ", ".join(sorted(censusmod.SUITES))),
-    "--sample": dict(type=sample_size, default=None,
+    "--sample": dict(type=positive_int, default=None,
                      help="golod suite only: check at most this many Bier spheres per m, "
                           "drawn with --seed (flagged in its report)"),
     "--oracle": dict(action="store_true", help="also run the Koszul oracle and cross-check"),
@@ -70,7 +72,7 @@ OPTIONS = {
     "--resolution": dict(type=int, default=4),
     "--field": dict(type=characteristic, default=QQ,
                     help="coefficient field characteristic (0 = rationals)"),
-    "--jobs": dict(type=int, default=1, help="worker processes for census"),
+    "--jobs": dict(type=positive_int, default=1, help="worker processes for census"),
     "--seed": dict(type=int, default=0, help="seed for randomized checks"),
     "--out": dict(help="write the JSON result here instead of stdout"),
     "--cache-dir": dict(help="result cache directory (default: $BIERLAB_CACHE)"),
@@ -209,6 +211,9 @@ def _faces(args):
 
 def _cubical(args):
     k = load_complex(args.infile)
+    if args.homology:
+        # refuse before Z(K), the slow part
+        check_cubical_homology(k)
     z = z_complex(k)
     target = boundary_complex(z) if args.boundary else z
     lines = [cell_symbol(c) for c in sorted(target.cells)]

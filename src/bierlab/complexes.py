@@ -16,7 +16,7 @@ import itertools
 from dataclasses import dataclass
 from functools import lru_cache
 
-from .errors import InvalidInput
+from .errors import InvalidInput, ResourceLimit
 
 
 # ---------------------------------------------------------------------------
@@ -141,6 +141,10 @@ def has_face(k: Complex, s: int) -> bool:
 
 def faces(k: Complex) -> set[int]:
     """All faces of ``k`` as masks, including the empty face."""
+    # far above the suites, tests and benchmark, which reach 480 (a Bier
+    # sphere on m = 5); boundary-simplex:20 would enumerate 20 * 2^19
+    if sum(1 << f.bit_count() for f in k.facets) > 1 << 20:
+        raise ResourceLimit("faces enumerates 2^|F| subsets of each facet F; need <= 2^20 in all")
     out: set[int] = set()
     for f in k.facets:
         out.update(submasks(f))
@@ -162,43 +166,15 @@ def euler_characteristic(k: Complex) -> int:
 
 
 def minimal_nonfaces(k: Complex) -> list[int]:
-    """Inclusion-minimal non-faces, sorted by (size, mask).
-
-    Level-by-level search: a size-s set is a candidate only when all its
-    (s-1)-subsets are faces, so each reported set is minimal by construction.
-    Empty iff k is the full simplex.
+    """Inclusion-minimal non-faces, sorted by (size, mask): the sets f + {v}
+    (f a face, v not in f) that are not faces while every maximal proper
+    subset is.  Empty iff k is the full simplex.
     """
     face_set = faces(k)
-    m = k.m
-    out: list[int] = []
-    level = [0]  # size s-1 faces that could extend to candidates
-    for s in range(1, m + 1):
-        candidates: set[int] = set()
-        for f in level:
-            for v in range(k.m):
-                b = 1 << v
-                if not f & b:
-                    candidates.add(f | b)
-        next_level = []
-        for c in sorted(candidates):
-            # minimality: every maximal proper subset must be a face
-            ok = True
-            cc = c
-            while cc:
-                low = cc & -cc
-                if (c ^ low) not in face_set:
-                    ok = False
-                    break
-                cc ^= low
-            if not ok:
-                continue
-            if c in face_set:
-                next_level.append(c)
-            else:
-                out.append(c)
-        level = next_level
-    out.sort(key=lambda x: (x.bit_count(), x))
-    return out
+    bits = [1 << v for v in range(k.m)]
+    candidates = {f | b for f in face_set for b in bits} - face_set
+    minimal = [c for c in candidates if all(c ^ b in face_set for b in bits if c & b)]
+    return sorted(minimal, key=lambda c: (c.bit_count(), c))
 
 
 def is_flag(k: Complex) -> bool:

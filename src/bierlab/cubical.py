@@ -196,6 +196,13 @@ def _cell_boundary(cell: Cell):
         yield (), 1
 
 
+def check_cubical_homology(k: Complex):
+    """Refuse, before Z(K) is built, a complex whose cubical models
+    ``cubical_homology`` refuses; they live in [-1,1]^m, as ``k`` does."""
+    if k.m > 5:
+        raise ResourceLimit("cubical_homology eliminates dense cell matrices; need m <= 5")
+
+
 def cubical_homology(c: CubicalComplex, p: int = 0) -> list[int]:
     """Reduced cellular homology ranks in degrees 0..dim over Q (p = 0) or
     GF(p).  The augmentation is a cell of degree -1, as the empty face is

@@ -11,11 +11,12 @@ output files are reproducible byte for byte.
 from __future__ import annotations
 
 import itertools
+import math
 from dataclasses import dataclass
 
 from .complexes import Complex, check_antichain, drop_ghosts, is_flag, maximal
 from .duality import BierClassification, match_flag_family
-from .errors import InvalidInput, UndefinedDual
+from .errors import InvalidInput, ResourceLimit, UndefinedDual
 
 
 def _divides(a: tuple[int, ...], b: tuple[int, ...]) -> bool:
@@ -75,6 +76,10 @@ class Multicomplex:
 
 def _box(c: tuple[int, ...]) -> list[tuple[int, ...]]:
     """All exponent vectors bounded by c, sorted by (degree, tuple)."""
+    # far above the suites, tests and benchmark, which reach 32 vectors
+    # (the census's caps have |c| <= 5)
+    if math.prod(ci + 1 for ci in c) > 10**5:
+        raise ResourceLimit("the caps bound prod(c_i + 1) exponent vectors; need <= 10^5")
     vecs = list(itertools.product(*(range(ci + 1) for ci in c)))
     vecs.sort(key=lambda a: (sum(a), a))
     return vecs

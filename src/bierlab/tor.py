@@ -74,27 +74,6 @@ def _cohomology_ranks(groups: list[list[int]], p: int) -> dict[int, int]:
     return {s - 1: h for s, h in enumerate(ranks) if h}
 
 
-def _coboundary_image(groups, s: int, p: int) -> Echelon:
-    """Echelon basis of the coboundaries among the size-s cochains."""
-    target = groups[s] if s < len(groups) else []
-    ech = Echelon(p, len(target))
-    if 1 <= s < len(groups):
-        # row F of the boundary matrix is the coboundary of F's cochain
-        for row in linalg.boundary_matrix(target, groups[s - 1], _boundary):
-            ech.add(row)
-    return ech
-
-
-def _cocycle_representatives(groups, s: int, p: int) -> list[list]:
-    """Echelonized cocycle representatives of degree s-1, deterministic."""
-    lower = groups[s]
-    upper = groups[s + 1] if s + 1 < len(groups) else []
-    coboundary = list(zip(*linalg.boundary_matrix(upper, lower, _boundary)))
-    kernel = linalg.nullspace(coboundary, len(lower), p)
-    ech = _coboundary_image(groups, s, p)
-    return [row for row in map(ech.add, kernel) if row is not None]
-
-
 @dataclass
 class CohomologyBasis:
     """Ranks and echelonized cocycle representatives of reduced cohomology."""
@@ -277,7 +256,6 @@ class SubsetCohomology:
         self._groups: dict[int, list[list[int]]] = {}
         self._ranks: dict[int, dict[int, int]] = {}
         self._reps: dict[tuple[int, int], list] = {}
-        self._index: dict[tuple[int, int], dict[int, int]] = {}
         self._im_echelon: dict[tuple[int, int], Echelon] = {}
 
     def groups(self, j_mask: int) -> list[list[int]]:
@@ -321,32 +299,40 @@ class SubsetCohomology:
             self._ranks[j] = r
         return r
 
-    def representatives(self, j_mask: int, size: int) -> list:
-        key = (j_mask, size)
-        reps = self._reps.get(key)
-        if reps is None:
-            reps = _cocycle_representatives(self.groups(j_mask), size, self.p)
-            self._reps[key] = reps
-        return reps
-
-    def face_index(self, j_mask: int, size: int) -> dict[int, int]:
-        key = (j_mask, size)
-        idx = self._index.get(key)
-        if idx is None:
-            groups = self.groups(j_mask)
-            lst = groups[size] if size < len(groups) else []
-            idx = {f: i for i, f in enumerate(lst)}
-            self._index[key] = idx
-        return idx
-
     def image_echelon(self, j_mask: int, size: int) -> Echelon:
-        """Echelon basis of the coboundaries among size-``size`` cochains."""
+        """Echelon basis of the coboundaries among size-``size`` cochains
+        of K_J, built once and shared by representatives and products."""
         key = (j_mask, size)
         ech = self._im_echelon.get(key)
         if ech is None:
-            ech = _coboundary_image(self.groups(j_mask), size, self.p)
+            groups = self.groups(j_mask)
+            target = groups[size] if size < len(groups) else []
+            ech = Echelon(self.p, len(target))
+            if 1 <= size < len(groups):
+                # row F of the boundary matrix is the coboundary of F's cochain
+                for row in linalg.boundary_matrix(target, groups[size - 1], _boundary):
+                    ech.add(row)
             self._im_echelon[key] = ech
         return ech
+
+    def representatives(self, j_mask: int, size: int) -> list:
+        """Echelonized cocycle representatives of degree size-1 of K_J: the
+        cocycles reduced modulo ``image_echelon`` and echelonized, that is the
+        reduced echelon rows of the cocycles at pivots outside the coboundaries."""
+        key = (j_mask, size)
+        reps = self._reps.get(key)
+        if reps is None:
+            groups = self.groups(j_mask)
+            lower = groups[size]
+            upper = groups[size + 1] if size + 1 < len(groups) else []
+            coboundary = list(zip(*linalg.boundary_matrix(upper, lower, _boundary)))
+            image = self.image_echelon(j_mask, size)
+            ech = Echelon(self.p, len(lower))
+            kernel = linalg.nullspace(coboundary, len(lower), self.p)
+            rows = (ech.add(image.residual(v)) for v in kernel)
+            reps = [row for row in rows if row is not None]
+            self._reps[key] = reps
+        return reps
 
     def interesting_subsets(self, allowed: int) -> list[int]:
         """Nonempty subsets of ``allowed`` whose full subcomplex has
@@ -361,31 +347,19 @@ class SubsetCohomology:
 
     def product_class_vector(self, a_mask, sa, a_vec, b_mask, sb, b_vec):
         """Cochain of the product of two representatives, over the size
-        sa+sb faces of the full subcomplex on the union."""
-        union = a_mask | b_mask
-        groups = self.groups(union)
+        sa+sb faces of the full subcomplex on the union: each pair of
+        support faces L, M with L+M a face adds shuffle_sign(L, M) a_L b_M
+        at L+M."""
+        rights = [(right, y) for right, y in zip(self.groups(b_mask)[sb], b_vec) if y]
+        product = {}
+        for left, x in zip(self.groups(a_mask)[sa], a_vec):
+            if x:
+                for right, y in rights:
+                    if left | right in self._star:
+                        product[left | right] = x * y * shuffle_sign(left, right)
+        groups = self.groups(a_mask | b_mask)
         t = sa + sb
-        target = groups[t] if t < len(groups) else []
-        idx_a = self.face_index(a_mask, sa)
-        idx_b = self.face_index(b_mask, sb)
-        vec = []
-        for n in target:
-            left = n & a_mask
-            if left.bit_count() != sa:
-                vec.append(0)
-                continue
-            right = n & b_mask
-            ia = idx_a.get(left)
-            ib = idx_b.get(right)
-            if ia is None or ib is None:
-                vec.append(0)
-                continue
-            coeff = a_vec[ia] * b_vec[ib]
-            if coeff:
-                vec.append(coeff * shuffle_sign(left, right))
-            else:
-                vec.append(0)
-        return vec
+        return [product.get(n, 0) for n in (groups[t] if t < len(groups) else [])]
 
     def product_is_nonzero(self, a_mask, sa, a_vec, b_mask, sb, b_vec) -> bool:
         """Whether the product of two representatives is not a coboundary."""

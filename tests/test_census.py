@@ -73,6 +73,13 @@ def test_orbit_stabilizer_cross_check():
         assert total == labeled
 
 
+def test_a_negative_ground_set_is_invalid():
+    with pytest.raises(InvalidInput, match="got -1"):
+        all_labeled_complexes(-1)
+    with pytest.raises(InvalidInput):
+        enumerate_complexes(-1)
+
+
 def test_enumeration_resource_limits():
     with pytest.raises(ResourceLimit):
         all_labeled_complexes(6)

@@ -343,8 +343,60 @@ def test_a_sample_below_one_is_refused_while_parsing(monkeypatch, capsys, value)
     assert exc.value.code == 2
     errors = [line for line in capsys.readouterr().err.splitlines() if "error:" in line]
     assert errors == [
-        f"bierlab verify: error: argument --sample: sample size must be at least 1, got {value}"
+        f"bierlab verify: error: argument --sample: must be at least 1, got {value}"
     ]
+
+
+@pytest.mark.parametrize("value", ["0", "-2"])
+def test_jobs_below_one_are_refused_while_parsing(monkeypatch, capsys, value):
+    def no_work(*args, **kwargs):
+        raise AssertionError("work started before the refusal")
+
+    monkeypatch.setattr(cli.censusmod, "enumerate_complexes", no_work)
+    with pytest.raises(SystemExit) as exc:
+        run(["census", "--m", "3", "--jobs", value])
+    assert exc.value.code == 2
+    errors = [line for line in capsys.readouterr().err.splitlines() if "error:" in line]
+    assert errors == [f"bierlab census: error: argument --jobs: must be at least 1, got {value}"]
+
+
+@pytest.mark.parametrize(
+    "argv, error",
+    [
+        (["dual", "--in", "SIMPLEX22"], "need <= 2^20"),
+        (["bier", "--in", "SIMPLEX22"], "need <= 2^20"),
+        (["classify", "--in", "SIMPLEX22"], "need <= 2^20"),
+        (["faces", "--in", "SIMPLEX22"], "need <= 2^20"),
+        (["murai", "--in", "CAPS40"], "need <= 10^5"),
+        (["murai-ideal", "--in", "CAPS40"], "need <= 10^5"),
+        (["cubical", "--in", "OCTAHEDRON4", "--homology"], "need m <= 5"),
+        (["census", "--m", "-1"], "ground-set size must be nonnegative, got -1"),
+    ],
+    ids=["dual", "bier", "classify", "faces", "murai", "murai-ideal", "cubical", "census"],
+)
+def test_exponential_and_negative_inputs_exit_2_before_any_work(
+    tmp_path, monkeypatch, capsys, argv, error
+):
+    # each of these ran for more than 20 s, or ended in a traceback
+    files = {
+        "SIMPLEX22": complex_to_dict(complexes.boundary_simplex(22)),
+        "CAPS40": {"c": [40] * 5, "max_monomials": [[1] * 5]},
+        "OCTAHEDRON4": complex_to_dict(complexes.cross_polytope(4)),
+    }
+    for name, payload in files.items():
+        (tmp_path / name).write_text(json.dumps(payload))
+
+    def no_work(*args, **kwargs):
+        raise AssertionError("work started before the refusal")
+
+    monkeypatch.setattr(cli, "z_complex", no_work)
+    argv = [str(tmp_path / a) if a in files else a for a in argv]
+    monkeypatch.setattr(sys, "argv", ["bierlab"] + argv + ["--no-cache"])
+    with pytest.raises(SystemExit) as exc:
+        main()
+    assert exc.value.code == 2
+    lines = capsys.readouterr().err.splitlines()
+    assert len(lines) == 1 and lines[0].startswith("error: ") and error in lines[0]
 
 
 def test_one_parser_serves_every_run_and_no_option_outlives_its_run(tmp_path):

@@ -6,6 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from bierlab import linalg
 from bierlab.census import enumerate_complexes
 from bierlab.complexes import (
     Complex,
@@ -14,13 +15,24 @@ from bierlab.complexes import (
     canonical_form,
     canonical_key,
     check_antichain,
+    faces,
     maximal,
+    minimal_nonfaces,
     subset_of,
 )
 from bierlab.duality import alexander_dual, bier_sphere
 from bierlab.errors import InvalidInput
 from bierlab.multicomplexes import _divides
-from bierlab.tor import GF2, QQ, hochster_betti, koszul_betti_oracle
+from bierlab.tor import (
+    GF2,
+    GF3,
+    QQ,
+    SubsetCohomology,
+    _boundary,
+    hochster_betti,
+    koszul_betti_oracle,
+    shuffle_sign,
+)
 from conftest import assert_subset_ranks_agree
 
 SETTINGS = settings(max_examples=60, deadline=None)
@@ -87,6 +99,73 @@ def test_hochster_betti_matches_the_koszul_oracle(k, field):
 @given(small_complexes(max_m=7), st.sampled_from([QQ, GF2]))
 def test_subset_ranks_match_the_full_sweep(k, field):
     assert_subset_ranks_agree(k, field)
+
+
+@SETTINGS
+@given(small_complexes(max_m=7))
+def test_minimal_nonfaces_match_their_definition(k):
+    face_set = faces(k)
+    brute = [
+        s
+        for s in range(1 << k.m)
+        if s not in face_set
+        and all(s & ~(1 << v) in face_set for v in range(k.m) if s >> v & 1)
+    ]
+    assert minimal_nonfaces(k) == sorted(brute, key=lambda s: (s.bit_count(), s))
+
+
+def cocycle_representatives_oracle(groups, s, p):
+    """Echelonized cocycle representatives of degree s-1, from one echelon
+    that takes the coboundaries first and then the kernel vectors."""
+    lower = groups[s]
+    upper = groups[s + 1] if s + 1 < len(groups) else []
+    coboundary = list(zip(*linalg.boundary_matrix(upper, lower, _boundary)))
+    kernel = linalg.nullspace(coboundary, len(lower), p)
+    ech = linalg.Echelon(p, len(lower))
+    if s >= 1:
+        for row in linalg.boundary_matrix(lower, groups[s - 1], _boundary):
+            ech.add(row)
+    return [row for row in map(ech.add, kernel) if row is not None]
+
+
+def product_vector_oracle(table, a_mask, sa, a_vec, b_mask, sb, b_vec):
+    """The join cross product face by face: the entry at a size sa+sb face
+    N of K_{A+B} is shuffle_sign(L, M) a_L b_M, with L = N & A and
+    M = N & B, when L and M are faces of the right sizes, else 0."""
+    groups = table.groups(a_mask | b_mask)
+    t = sa + sb
+    index_a = {f: i for i, f in enumerate(table.groups(a_mask)[sa])}
+    index_b = {f: i for i, f in enumerate(table.groups(b_mask)[sb])}
+    vec = []
+    for n in groups[t] if t < len(groups) else []:
+        ia, ib = index_a.get(n & a_mask), index_b.get(n & b_mask)
+        if ia is None or ib is None:
+            vec.append(0)
+        else:
+            vec.append(a_vec[ia] * b_vec[ib] * shuffle_sign(n & a_mask, n & b_mask))
+    return vec
+
+
+@SETTINGS
+@given(small_complexes(), st.sampled_from([QQ, GF2, GF3]))
+def test_representatives_and_products_match_their_oracles(k, field):
+    table = SubsetCohomology(k, field)
+    subsets = table.interesting_subsets(k.full_mask)
+    for j_mask in subsets:
+        for deg in table.ranks(j_mask):
+            expected = cocycle_representatives_oracle(table.groups(j_mask), deg + 1, field.p)
+            assert table.representatives(j_mask, deg + 1) == expected
+    for a_mask in subsets:
+        for b_mask in subsets:
+            if a_mask & b_mask:
+                continue
+            for sa in table.ranks(a_mask):
+                for sb in table.ranks(b_mask):
+                    for va in table.representatives(a_mask, sa + 1):
+                        for vb in table.representatives(b_mask, sb + 1):
+                            case = (a_mask, sa + 1, va, b_mask, sb + 1, vb)
+                            got = table.product_class_vector(*case)
+                            assert got == product_vector_oracle(table, *case)
 
 
 # the antichain toolkit, against its definitions, in four orders

@@ -25,7 +25,6 @@ from bierlab.tor import (
     FieldTag,
     SubsetCohomology,
     _boundary,
-    _coboundary_image,
     golod_summary,
     hochster_betti,
     homology_sphere_check,
@@ -57,13 +56,14 @@ def test_representatives_are_cocycles_and_independent():
     cases = [(cycle(6), QQ), (RP2, GF2), (RP2_MINUS_TWO, QQ), (RP2_MINUS_TWO, GF3)]
     for k, field in cases:
         basis = reduced_cohomology(k, field)
-        groups = SubsetCohomology(k, field).groups(k.full_mask)
+        table = SubsetCohomology(k, field)
+        groups = table.groups(k.full_mask)
         assert basis.ranks
         for deg, r in basis.ranks.items():
             size = deg + 1
             reps = basis.representatives[deg]
             assert len(reps) == r
-            image = _coboundary_image(groups, size, field.p)
+            image = table.image_echelon(k.full_mask, size)
             for rep in reps:
                 assert len(rep) == len(basis.simplex_basis[deg]) == len(groups[size])
                 assert not any(_delta_of(groups, size, rep, field.p))
@@ -355,3 +355,38 @@ def test_a_cone_sweep_eliminates_only_singletons(monkeypatch):
     subset_cohomology.cache_clear()
     assert hochster_betti(simplex, QQ).table == {(0, 0): 1}
     assert len(calls) == singletons > 0
+
+
+def test_each_coboundary_image_is_eliminated_once(monkeypatch):
+    # the rows of the coboundary matrix into the size-s cochains of K_J enter
+    # an echelon from one boundary_matrix call only, which image_echelon
+    # makes and representatives and products then share
+    sphere = drop_ghosts(bier_sphere(make_complex(4, [[1, 2], [3, 4]])))
+    origin = {}  # id of a row -> (ids of the cells and faces lists, call number)
+    keep = []  # every row stays alive, so no id is reused
+    real_matrix = linalg.boundary_matrix
+    real_add = linalg.Echelon.add
+    eliminated = {}
+
+    def boundary_matrix(cells, faces, boundary):
+        rows = real_matrix(cells, faces, boundary)
+        keep.append(rows)
+        for row in rows:
+            origin[id(row)] = ((id(cells), id(faces)), len(keep))
+        return rows
+
+    def add(self, vec):
+        if id(vec) in origin:
+            key, call = origin[id(vec)]
+            eliminated.setdefault(key, set()).add(call)
+        return real_add(self, vec)
+
+    monkeypatch.setattr(linalg, "boundary_matrix", boundary_matrix)
+    monkeypatch.setattr(linalg.Echelon, "add", add)
+    subset_cohomology.cache_clear()
+    golod_summary(sphere, QQ)
+    assert tor_products(sphere, QQ)
+    # the cells and faces lists are the table's own groups, one list per
+    # (J, size), so equal ids mean the same coboundary image
+    assert eliminated
+    assert max(len(calls) for calls in eliminated.values()) == 1
