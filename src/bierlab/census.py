@@ -12,7 +12,7 @@ from __future__ import annotations
 
 import itertools
 import random
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 from functools import lru_cache
 
 from .complexes import (
@@ -191,18 +191,8 @@ class CensusRecord:
     min_non_golod: bool
 
     def to_dict(self) -> dict:
-        return {
-            "canonical": self.canonical,
-            "tags": list(self.tags),
-            "f": list(self.f),
-            "h": list(self.h),
-            "gamma": list(self.gamma) if self.gamma is not None else None,
-            "betti": [list(row) for row in self.betti],
-            "betti_field": self.betti_field,
-            "flag": self.flag,
-            "product_golod": self.product_golod,
-            "min_non_golod": self.min_non_golod,
-        }
+        # tuples stay tuples; ``json`` writes them as arrays
+        return asdict(self)
 
 
 def sphere_record(k: Complex, field_tag: FieldTag = QQ) -> CensusRecord:

@@ -26,6 +26,7 @@ from .cubical import (
     boundary_complex,
     cell_symbol,
     check_cubical_homology,
+    check_gw_partition,
     cubical_homology,
     gw_partition_check,
     z_complex,
@@ -211,9 +212,11 @@ def _faces(args):
 
 def _cubical(args):
     k = load_complex(args.infile)
+    # refuse before Z(K), the slow part
     if args.homology:
-        # refuse before Z(K), the slow part
         check_cubical_homology(k)
+    if args.gw:
+        check_gw_partition(k, args.resolution)
     z = z_complex(k)
     target = boundary_complex(z) if args.boundary else z
     lines = [cell_symbol(c) for c in sorted(target.cells)]

@@ -84,12 +84,7 @@ class CubicalComplex:
         return max((cell_dim(c) for c in self.cells), default=-1)
 
     def cells_by_dim(self) -> list[list[Cell]]:
-        out: list[list[Cell]] = [[] for _ in range(self.dim + 1)]
-        for c in self.cells:
-            out[cell_dim(c)].append(c)
-        for lst in out:
-            lst.sort()
-        return out
+        return linalg.graded(sorted(self.cells), cell_dim)
 
     def maximal_cells(self) -> list[Cell]:
         covers: set[Cell] = set()
@@ -196,9 +191,10 @@ def _cell_boundary(cell: Cell):
         yield (), 1
 
 
-def check_cubical_homology(k: Complex):
-    """Refuse, before Z(K) is built, a complex whose cubical models
-    ``cubical_homology`` refuses; they live in [-1,1]^m, as ``k`` does."""
+def check_cubical_homology(k: Complex | CubicalComplex):
+    """Refuse a ground set too large for ``cubical_homology``.  Z(K) and its
+    rim live in [-1,1]^m, as K does, so the CLI asks before Z(K) is built."""
+    # the rim at m = 6 has 3,578 cells and its dense ranks took minutes
     if k.m > 5:
         raise ResourceLimit("cubical_homology eliminates dense cell matrices; need m <= 5")
 
@@ -208,9 +204,7 @@ def cubical_homology(c: CubicalComplex, p: int = 0) -> list[int]:
     GF(p).  The augmentation is a cell of degree -1, as the empty face is
     for a simplicial complex."""
     linalg.check_characteristic(p)
-    # the rim at m = 6 has 3,578 cells and its dense ranks took minutes
-    if c.m > 5:
-        raise ResourceLimit("cubical_homology eliminates dense cell matrices; need m <= 5")
+    check_cubical_homology(c)
     graded = [[()]] + c.cells_by_dim()
     return linalg.homology_ranks(graded, _cell_boundary, p)[1:]
 
@@ -251,29 +245,36 @@ class GwReport:
     violations: tuple
 
 
-def gw_partition_check(
-    k: Complex, resolution: int = 4, seed: int = 0, random_points: int = 128
-) -> GwReport:
-    """Verify that every point of [-1,1]^m lies in exactly one of the
-    product over K with the nonpositive interval and the product over the
-    dual with the strictly-positive complement.
+RANDOM_POINTS = 128
 
-    Exhaustive over the rational grid of the given resolution plus a seeded
-    batch of random rational points; zero coordinates are classified by the
-    K side iff the positive support is a face.
-    """
+
+def check_gw_partition(k: Complex, resolution: int):
+    """Refuse a grid ``gw_partition_check`` will not sweep; it depends only
+    on m and the resolution, so the CLI asks before Z(K) is built."""
     if resolution < 1:
         raise InvalidInput("resolution must be positive")
     # far above the census (5^4 grid points) and the CLI default at m = 5 (5^5)
     if (resolution + 1) ** k.m > 10**6:
         raise ResourceLimit("gw_partition_check sweeps (resolution+1)^m points; need <= 10^6")
+
+
+def gw_partition_check(k: Complex, resolution: int = 4, seed: int = 0) -> GwReport:
+    """Verify that every point of [-1,1]^m lies in exactly one of the
+    product over K with the nonpositive interval and the product over the
+    dual with the strictly-positive complement.
+
+    Exhaustive over the rational grid of the given resolution plus a seeded
+    batch of ``RANDOM_POINTS`` random rational points; zero coordinates are
+    classified by the K side iff the positive support is a face.
+    """
+    check_gw_partition(k, resolution)
     dual = alexander_dual(k)
     axis = [Fraction(2 * t - resolution, resolution) for t in range(resolution + 1)]
     rng = random.Random(seed)
     q = 2 * resolution + 1
     randoms = [
         tuple(Fraction(rng.randint(-q, q), q) for _ in range(k.m))
-        for _ in range(random_points)
+        for _ in range(RANDOM_POINTS)
     ]
     violations = []
     for point in itertools.chain(itertools.product(axis, repeat=k.m), randoms):
@@ -286,6 +287,6 @@ def gw_partition_check(
         resolution,
         seed,
         (resolution + 1) ** k.m,
-        random_points,
+        RANDOM_POINTS,
         tuple(violations),
     )

@@ -26,9 +26,8 @@ def _poly_pow(base: list[int], e: int) -> list[int]:
     return out
 
 
-def f_vector(k: Complex) -> tuple[int, ...]:
-    """(f_-1, f_0, ..., f_{n-1}) with f_-1 = 1."""
-    return f_vector_counts(k)
+# (f_-1, f_0, ..., f_{n-1}) with f_-1 = 1
+f_vector = f_vector_counts
 
 
 def h_vector(k: Complex) -> tuple[int, ...]:
@@ -84,10 +83,10 @@ def _cliques(n_vertices: int, edge_masks: set[int]) -> list[list[int]]:
         levels.append(sorted(bigger))
 
 
-def realize_gamma_as_flag_f(gamma, max_vertices: int | None = None) -> Complex | None:
+def realize_gamma_as_flag_f(gamma) -> Complex | None:
     """A flag complex whose f-vector equals ``gamma`` (trailing zeros
     dropped), found by exhaustive search over graphs on gamma_1 vertices in
-    canonical adjacency order; None if no witness exists in the bound."""
+    canonical adjacency order; None if no witness exists."""
     gamma = tuple(gamma)
     if not gamma or gamma[0] != 1:
         raise InvalidInput("gamma vectors start with 1")
@@ -98,8 +97,6 @@ def realize_gamma_as_flag_f(gamma, max_vertices: int | None = None) -> Complex |
         target.pop()
     target = tuple(target)
     n = gamma[1] if len(gamma) > 1 else 0
-    if max_vertices is not None and n > max_vertices:
-        return None
     if n == 0:
         return Complex(0, (0,)) if target == (1,) else None
     want_edges = target[2] if len(target) > 2 else 0

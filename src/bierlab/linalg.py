@@ -121,6 +121,18 @@ def rank(matrix: list[list[int]], p: int) -> int:
 # chain complexes: every boundary matrix and homology rank goes through here
 
 
+def graded(cells, degree) -> list[list]:
+    """``cells`` grouped by ``degree(cell)``, lowest first: entry d lists the
+    cells of degree d in their input order, from degree 0 to the top."""
+    out: list[list] = []
+    for cell in cells:
+        d = degree(cell)
+        while len(out) <= d:
+            out.append([])
+        out[d].append(cell)
+    return out
+
+
 def boundary_matrix(cells, faces, boundary) -> list[list[int]]:
     """Dense integer matrix of a boundary map, one row per face and one
     column per cell.  ``boundary(cell)`` yields (face, sign) pairs; repeated

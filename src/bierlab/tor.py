@@ -43,19 +43,6 @@ GF3 = FieldTag(3)
 # cochain machinery on plain face lists
 
 
-def _group_by_size(face_masks) -> list[list[int]]:
-    """Faces grouped by cardinality; index s holds the size-s faces.  The
-    caller passes the faces in lexicographic vertex order (``vertices_of``),
-    which each group keeps."""
-    if not face_masks:
-        return []
-    top = max(f.bit_count() for f in face_masks)
-    groups: list[list[int]] = [[] for _ in range(top + 1)]
-    for f in face_masks:
-        groups[f.bit_count()].append(f)
-    return groups
-
-
 def _boundary(face: int):
     """Codimension-one faces of ``face`` with sign (-1)^pos of the dropped
     vertex; the coboundary is its transpose."""
@@ -113,7 +100,7 @@ def homology_sphere_check(k: Complex, n: int) -> bool:
     for sigma in all_faces:
         s = sigma.bit_count()
         link_faces = [f ^ sigma for f in all_faces if f & sigma == sigma]
-        ranks = _cohomology_ranks(_group_by_size(link_faces), 0)
+        ranks = _cohomology_ranks(linalg.graded(link_faces, int.bit_count), 0)
         if ranks != {n - 1 - s: 1}:
             return False
     return True
@@ -176,12 +163,11 @@ def koszul_betti_oracle(k: Complex, f: FieldTag = QQ) -> BigradedBetti:
     table: dict[tuple[int, int], int] = {}
     for j_mask in range(1 << k.m):
         j = j_mask.bit_count()
-        basis: list[list[int]] = [[] for _ in range(j + 1)]  # index |tau| -> sigmas
-        for sigma in submasks(j_mask):
-            if sigma in face_set:
-                basis[(j_mask ^ sigma).bit_count()].append(sigma)
-        for b in basis:
-            b.sort()
+        # index |tau| -> sigmas
+        basis = linalg.graded(
+            sorted(s for s in submasks(j_mask) if s in face_set),
+            lambda sigma: (j_mask ^ sigma).bit_count(),
+        )
 
         def differential(sigma):
             tau = j_mask ^ sigma
@@ -261,7 +247,7 @@ class SubsetCohomology:
     def groups(self, j_mask: int) -> list[list[int]]:
         g = self._groups.get(j_mask)
         if g is None:
-            g = _group_by_size([x for x in self._faces if x & j_mask == x])
+            g = linalg.graded([x for x in self._faces if x & j_mask == x], int.bit_count)
             self._groups[j_mask] = g
         return g
 

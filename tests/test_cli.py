@@ -370,9 +370,12 @@ def test_jobs_below_one_are_refused_while_parsing(monkeypatch, capsys, value):
         (["murai", "--in", "CAPS40"], "need <= 10^5"),
         (["murai-ideal", "--in", "CAPS40"], "need <= 10^5"),
         (["cubical", "--in", "OCTAHEDRON4", "--homology"], "need m <= 5"),
+        (["cubical", "--in", "OCTAHEDRON4", "--gw", "--resolution", "100"], "need <= 10^6"),
+        (["cubical", "--in", "CYCLE5", "--gw", "--resolution", "0"], "resolution must be positive"),
         (["census", "--m", "-1"], "ground-set size must be nonnegative, got -1"),
     ],
-    ids=["dual", "bier", "classify", "faces", "murai", "murai-ideal", "cubical", "census"],
+    ids=["dual", "bier", "classify", "faces", "murai", "murai-ideal", "cubical",
+         "cubical-gw-grid", "cubical-gw-resolution", "census"],
 )
 def test_exponential_and_negative_inputs_exit_2_before_any_work(
     tmp_path, monkeypatch, capsys, argv, error
@@ -382,6 +385,7 @@ def test_exponential_and_negative_inputs_exit_2_before_any_work(
         "SIMPLEX22": complex_to_dict(complexes.boundary_simplex(22)),
         "CAPS40": {"c": [40] * 5, "max_monomials": [[1] * 5]},
         "OCTAHEDRON4": complex_to_dict(complexes.cross_polytope(4)),
+        "CYCLE5": complex_to_dict(complexes.cycle(5)),
     }
     for name, payload in files.items():
         (tmp_path / name).write_text(json.dumps(payload))

@@ -3,6 +3,7 @@ from fractions import Fraction
 import pytest
 
 from bierlab import cubical
+from bierlab.census import enumerate_complexes
 from bierlab.complexes import Complex, cycle, make_complex, points
 from bierlab.cubical import (
     FIX_NEG,
@@ -132,6 +133,27 @@ def test_gw_partition_check_refuses_a_huge_grid_before_sweeping(monkeypatch):
         gw_partition_check(points(3, 9))
     with pytest.raises(ResourceLimit):
         gw_partition_check(points(3, 3), resolution=100)
+
+
+def cells_by_dim_oracle(c: CubicalComplex) -> list[list]:
+    """Each dimension's cells, sorted: one pass over the cells, then a
+    sort per dimension."""
+    out = [[] for _ in range(c.dim + 1)]
+    for cell in c.cells:
+        out[cell_dim(cell)].append(cell)
+    for lst in out:
+        lst.sort()
+    return out
+
+
+def test_cells_by_dim_matches_a_per_dimension_sort():
+    for m in (1, 2, 3):
+        for k in enumerate_complexes(m, include_simplex=False):
+            z = z_complex(k)
+            for c in (z, boundary_complex(z)):
+                assert c.cells_by_dim() == cells_by_dim_oracle(c)
+    empty = CubicalComplex(2, frozenset())
+    assert empty.cells_by_dim() == cells_by_dim_oracle(empty) == []
 
 
 def test_z_complex_refuses_a_large_ground_set_before_building(monkeypatch):

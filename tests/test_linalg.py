@@ -20,6 +20,12 @@ def rp2_boundary(cell):
         yield "e1", 1
 
 
+def test_graded_keeps_the_input_order_and_the_empty_degrees():
+    words = ["bb", "a", "cc", "dddd", "e", "aa"]
+    assert linalg.graded(words, len) == [[], ["a", "e"], ["bb", "cc", "aa"], [], ["dddd"]]
+    assert linalg.graded([], len) == []
+
+
 def test_boundary_matrix_accumulates_repeated_faces():
     assert linalg.boundary_matrix(["e1"], ["v"], rp2_boundary) == [[0]]
     assert linalg.boundary_matrix(["e2"], ["e1"], rp2_boundary) == [[2]]
