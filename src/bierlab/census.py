@@ -144,18 +144,28 @@ def compositions(total: int) -> list[tuple[int, ...]]:
 
 
 def multicomplex_canonical_key(m: Multicomplex) -> tuple:
-    """(caps, canonical form of a colored complex), equal for two
-    multicomplexes iff a permutation of variables with equal caps carries
-    one onto the other.
+    """(caps, canonical form of a complex), equal for two multicomplexes
+    iff a permutation of variables with equal caps carries one onto the
+    other.
 
-    The complex has a vertex per level (i, j), 1 <= j <= c_i, colored j, a
-    marker per variable and a marker per maximal monomial, each kind of
-    marker in a color of its own.  Its facets are each variable's levels
-    plus its marker, and for each maximal monomial a the levels j <= a_i
-    plus its marker.  The variable facets tie each variable's levels
-    together, which level colors alone do not; the markers keep the facets
-    an antichain.
+    Squarefree caps (every c_i = 1) admit every permutation, and the
+    maximal monomials, read as vertex sets, are the facets of a complex on
+    the variables that determines the multicomplex.  Its ``canonical_form``
+    is then a complete invariant.
+
+    Otherwise the complex is colored.  It has a vertex per level (i, j),
+    1 <= j <= c_i, colored j, a marker per variable and a marker per
+    maximal monomial, each kind of marker in a color of its own.  Its
+    facets are each variable's levels plus its marker, and for each maximal
+    monomial a the levels j <= a_i plus its marker.  The variable facets
+    tie each variable's levels together, which level colors alone do not;
+    the markers keep the facets an antichain.  No color names a variable,
+    so the form is also equal for multicomplexes whose caps differ by the
+    permutation that carries one onto the other.
     """
+    if all(ci == 1 for ci in m.c):
+        masks = [sum(x << i for i, x in enumerate(a)) for a in m.max_monomials]
+        return (m.c, canonical_form(Complex.from_masks(m.nvars, masks)))
     offsets = list(itertools.accumulate(m.c, initial=0))
     levels, n = offsets[-1], m.nvars
 
@@ -330,9 +340,12 @@ def _suite_flag_bier(report: VerificationReport, seed: int, sample) -> None:
 
 @lru_cache(maxsize=None)
 def _murai_census(total: int):
-    """(caps, class representative, labeled multiplicity) over all ordered
-    cap vectors with the given sum, deduplicated under variable
-    permutations that preserve the caps."""
+    """(caps, class representative, labeled multiplicity, form) over all
+    ordered cap vectors with the given sum, deduplicated under variable
+    permutations that preserve the caps.  The form is the second entry of
+    ``multicomplex_canonical_key``; it does not record which variable is
+    which, so two rows share it iff a variable permutation carries one
+    row's caps and representative onto the other's."""
     classes: dict[tuple, list] = {}
     order: list[tuple] = []
     for c in compositions(total):
@@ -342,20 +355,30 @@ def _murai_census(total: int):
                 classes[key] = [m, 0]
                 order.append(key)
             classes[key][1] += 1
-    return tuple((key[0], classes[key][0], classes[key][1]) for key in order)
+    return tuple((key[0], classes[key][0], classes[key][1], key[1]) for key in order)
 
 
 @lru_cache(maxsize=None)
 def _murai_spheres(total: int):
     """The rows of ``_murai_census(total)``, each extended by its ghost-free
     sphere and that sphere's canonical key.  Rows with isomorphic spheres
-    share one sphere and one key object."""
+    share one sphere and one key object.
+
+    A variable permutation carries a multicomplex onto one with permuted
+    caps, and its Murai sphere onto the other's by permuting the level
+    blocks.  So a row whose sorted caps and form match an earlier row's
+    takes that row's sphere and key, and only the first row of each such
+    orbit builds and canonicalizes a sphere."""
     first: dict[str, tuple[Complex, str]] = {}
+    by_orbit: dict[tuple, tuple[Complex, str]] = {}
     rows = []
-    for caps, m, multiplicity in _murai_census(total):
-        sphere = drop_ghosts(murai_sphere(m))
-        key = canonical_key(sphere)
-        rows.append((caps, m, multiplicity) + first.setdefault(key, (sphere, key)))
+    for caps, m, multiplicity, form in _murai_census(total):
+        orbit = (tuple(sorted(caps)), form)
+        if orbit not in by_orbit:
+            sphere = drop_ghosts(murai_sphere(m))
+            key = canonical_key(sphere)
+            by_orbit[orbit] = first.setdefault(key, (sphere, key))
+        rows.append((caps, m, multiplicity) + by_orbit[orbit])
     return tuple(rows)
 
 

@@ -16,13 +16,14 @@ from bierlab.census import (
 )
 from bierlab.complexes import (
     canonical_key,
+    drop_ghosts,
     make_complex,
     mask_of,
     points,
     vertices_of,
 )
 from bierlab.errors import InvalidInput, ResourceLimit
-from bierlab.multicomplexes import make_multicomplex
+from bierlab.multicomplexes import make_multicomplex, murai_sphere
 from bierlab.tor import QQ
 
 
@@ -189,6 +190,34 @@ def test_warm_bier_tables_are_not_canonicalized_again(monkeypatch):
     assert verify("bier-13types").ok
     assert verify("golod", sample=3).ok
     assert not census_spheres.intersection(seen)
+
+
+def test_murai_census_builds_one_sphere_per_permutation_orbit(monkeypatch):
+    census._murai_census.cache_clear()
+    census._murai_spheres.cache_clear()
+    seen = _record_canonical_forms(monkeypatch)
+    rows = census._murai_census(4)
+    # only squarefree caps go through canonical_form: the 166 proper
+    # complexes on [4], each a labeled multicomplex with caps (1,1,1,1)
+    assert len(seen) == 166
+    assert {k.m for k in seen} == {4}
+    built = []
+
+    def recording(m):
+        built.append(m)
+        return murai_sphere(m)
+
+    monkeypatch.setattr(census, "murai_sphere", recording)
+    assert len(census._murai_spheres(4)) == len(rows) == 169
+    # one sphere per row whose caps are sorted; the other rows reuse them
+    assert len(built) == 90
+    assert all(list(m.c) == sorted(m.c) for m in built)
+
+
+def test_reused_murai_spheres_match_their_own_keys():
+    for total in (1, 2, 3, 4, 5):
+        for _caps, m, _n, _sphere, key in census._murai_spheres(total):
+            assert canonical_key(drop_ghosts(murai_sphere(m))) == key, m
 
 
 @pytest.mark.parametrize("sample", [0, -1])

@@ -6,7 +6,8 @@ The oracles here are a brute force over all m! relabelings and the two
 searches it replaced, kept verbatim below: the backtracking canonical
 form and the permutation key of multicomplexes.  Keys changed once with
 the new engine; these tests show the change is a one-to-one key map that
-keeps every partition into classes.
+keeps every partition into classes.  The colored multicomplex encoding,
+which squarefree caps no longer use, is kept too and checked the same way.
 """
 
 import itertools
@@ -77,6 +78,26 @@ def retired_multicomplex_key(m: Multicomplex) -> tuple:
         if best is None or relabeled < best:
             best = relabeled
     return (m.c, best)
+
+
+def colored_multicomplex_key(m: Multicomplex) -> tuple:
+    """The colored encoding of ``multicomplex_canonical_key`` for every cap
+    vector, squarefree ones included: a vertex per level (i, j) colored j,
+    a marker per variable and one per maximal monomial; facets are each
+    variable's levels plus its marker, and each monomial's levels plus its
+    marker."""
+    offsets = list(itertools.accumulate(m.c, initial=0))
+    levels, n = offsets[-1], m.nvars
+
+    def below(a) -> int:
+        return sum(((1 << x) - 1) << offsets[i] for i, x in enumerate(a))
+
+    facets = [((1 << ci) - 1) << offsets[i] | 1 << (levels + i) for i, ci in enumerate(m.c)]
+    facets += [below(a) | 1 << (levels + n + t) for t, a in enumerate(m.max_monomials)]
+    colors = [j for ci in m.c for j in range(1, ci + 1)]
+    colors += [0] * n + [-1] * len(m.max_monomials)
+    k = Complex.from_masks(len(colors), facets)
+    return (m.c, canonical_labeling(k, colors)[0])
 
 
 def _retired_vertex_invariants(k: Complex):
@@ -255,7 +276,7 @@ def test_symmetric_inputs(k):
 
 
 # ---------------------------------------------------------------------------
-# multicomplex keys against the retired permutation key
+# multicomplex keys against the retired keys
 
 
 def test_multicomplex_keys_partition_like_the_retired_key():
@@ -296,6 +317,18 @@ def test_multicomplex_keys_agree_with_the_retired_key_at_total_5(c, data):
         assert same == (retired_multicomplex_key(x) == retired_multicomplex_key(y))
 
 
+def test_multicomplex_keys_partition_like_the_colored_key():
+    # squarefree caps are keyed by their complex; the colored encoding,
+    # which every cap vector used before, must give the same classes
+    squarefree = [m for n in (1, 2, 3, 4, 5) for m in _multicomplexes((1,) * n)]
+    small = [m for total in (1, 2, 3, 4) for c in compositions(total) for m in _multicomplexes(c)]
+    for labeled in (squarefree, small):
+        assert_one_to_one(
+            [colored_multicomplex_key(m) for m in labeled],
+            [multicomplex_canonical_key(m) for m in labeled],
+        )
+
+
 def test_caps_222_pair_stays_apart():
     # equal multisets of level colors, but no permutation of the variables
     # carries one monomial set onto the other
@@ -329,7 +362,7 @@ def test_keys_change_by_a_one_to_one_map_on_the_census():
     murai = [
         drop_ghosts(murai_sphere(m))
         for total in (1, 2, 3, 4, 5)
-        for _c, m, _n in census._murai_census(total)
+        for _c, m, _n, _form in census._murai_census(total)
     ]
     spheres = list(dict.fromkeys(bier + murai))  # each labeled sphere once
     assert_one_to_one(
