@@ -92,22 +92,20 @@ def all_labeled_complexes(m: int, include_simplex: bool = True) -> list[Complex]
         raise InvalidInput(f"ground-set size must be nonnegative, got {m}")
     if m > 5:
         raise ResourceLimit("labeled enumeration is doubly exponential; need m <= 5")
-    out = []
-    for chain in _antichains(range(1, 1 << m), subset_of):
-        k = Complex(m, chain if chain else (0,))
-        if not include_simplex and k.facets == ((1 << m) - 1,):
-            continue
-        out.append(k)
-    return out
+    simplex = ((1 << m) - 1,)
+    chains = (chain or (0,) for chain in _antichains(range(1, 1 << m), subset_of))
+    return [Complex(m, facets) for facets in chains if include_simplex or facets != simplex]
 
 
 @lru_cache(maxsize=None)
-def _iso_classes(m: int, include_simplex: bool) -> tuple[Complex, ...]:
-    seen: dict[str, tuple[int, tuple[int, ...]]] = {}
-    for k in all_labeled_complexes(m, include_simplex):
-        form = canonical_form(k)
-        seen.setdefault(format_key(*form), form)
-    return tuple(Complex(*seen[key]) for key in sorted(seen))
+def _complex_classes(m: int) -> dict[tuple, list]:
+    """Canonical form -> [first labeled complex with it, how many have it]
+    over the complexes on [m] but the simplex, forms in order of first
+    appearance; the one place a labeled complex is canonicalized."""
+    classes: dict[tuple, list] = {}
+    for k in all_labeled_complexes(m, include_simplex=False):
+        classes.setdefault(canonical_form(k), [k, 0])[1] += 1
+    return classes
 
 
 def enumerate_complexes(
@@ -115,9 +113,12 @@ def enumerate_complexes(
 ) -> list[Complex]:
     """Census of complexes on [m]; with ``up_to_iso`` each isomorphism class
     appears exactly once, as its canonical representative."""
-    if up_to_iso:
-        return list(_iso_classes(m, include_simplex))
-    return all_labeled_complexes(m, include_simplex)
+    if not up_to_iso:
+        return all_labeled_complexes(m, include_simplex)
+    forms = list(_complex_classes(m))
+    if include_simplex:
+        forms.append((m, ((1 << m) - 1,)))
+    return [Complex(*form) for form in sorted(forms, key=lambda form: format_key(*form))]
 
 
 def enumerate_multicomplexes(c) -> list[Multicomplex]:
@@ -144,28 +145,21 @@ def compositions(total: int) -> list[tuple[int, ...]]:
 
 
 def multicomplex_canonical_key(m: Multicomplex) -> tuple:
-    """(caps, canonical form of a complex), equal for two multicomplexes
-    iff a permutation of variables with equal caps carries one onto the
-    other.
+    """(caps, canonical form of a colored complex), equal for two
+    multicomplexes iff a permutation of variables with equal caps carries
+    one onto the other.  (``_murai_census`` gives a squarefree row, every
+    c_i = 1, the canonical form of its complex instead.)
 
-    Squarefree caps (every c_i = 1) admit every permutation, and the
-    maximal monomials, read as vertex sets, are the facets of a complex on
-    the variables that determines the multicomplex.  Its ``canonical_form``
-    is then a complete invariant.
-
-    Otherwise the complex is colored.  It has a vertex per level (i, j),
-    1 <= j <= c_i, colored j, a marker per variable and a marker per
-    maximal monomial, each kind of marker in a color of its own.  Its
-    facets are each variable's levels plus its marker, and for each maximal
-    monomial a the levels j <= a_i plus its marker.  The variable facets
-    tie each variable's levels together, which level colors alone do not;
-    the markers keep the facets an antichain.  No color names a variable,
-    so the form is also equal for multicomplexes whose caps differ by the
-    permutation that carries one onto the other.
+    The complex has a vertex per level (i, j), 1 <= j <= c_i, colored j, a
+    marker per variable and a marker per maximal monomial, each kind of
+    marker in a color of its own.  Its facets are each variable's levels
+    plus its marker, and for each maximal monomial a the levels j <= a_i
+    plus its marker.  The variable facets tie each variable's levels
+    together, which level colors alone do not; the markers keep the facets
+    an antichain.  No color names a variable, so the form is also equal for
+    multicomplexes whose caps differ by the permutation that carries one
+    onto the other.
     """
-    if all(ci == 1 for ci in m.c):
-        masks = [sum(x << i for i, x in enumerate(a)) for a in m.max_monomials]
-        return (m.c, canonical_form(Complex.from_masks(m.nvars, masks)))
     offsets = list(itertools.accumulate(m.c, initial=0))
     levels, n = offsets[-1], m.nvars
 
@@ -342,20 +336,22 @@ def _suite_flag_bier(report: VerificationReport, seed: int, sample) -> None:
 def _murai_census(total: int):
     """(caps, class representative, labeled multiplicity, form) over all
     ordered cap vectors with the given sum, deduplicated under variable
-    permutations that preserve the caps.  The form is the second entry of
-    ``multicomplex_canonical_key``; it does not record which variable is
-    which, so two rows share it iff a variable permutation carries one
-    row's caps and representative onto the other's."""
-    classes: dict[tuple, list] = {}
-    order: list[tuple] = []
+    permutations that preserve the caps.  Caps (1,...,1) give the rows of
+    ``_complex_classes(total)``, with the canonical form of the complex;
+    other caps the second entry of ``multicomplex_canonical_key``.  No form
+    records which variable is which, so two rows share it iff a variable
+    permutation carries one row's caps and representative onto the other's."""
+    rows = []
     for c in compositions(total):
-        for m in enumerate_multicomplexes(c):
-            key = multicomplex_canonical_key(m)
-            if key not in classes:
-                classes[key] = [m, 0]
-                order.append(key)
-            classes[key][1] += 1
-    return tuple((key[0], classes[key][0], classes[key][1], key[1]) for key in order)
+        if c == (1,) * total:
+            table = _complex_classes(total).items()
+            classes = {form: (multicomplex_of_complex(k), n) for form, (k, n) in table}
+        else:
+            classes = {}
+            for m in enumerate_multicomplexes(c):
+                classes.setdefault(multicomplex_canonical_key(m)[1], [m, 0])[1] += 1
+        rows += [(c, m, n, form) for form, (m, n) in classes.items()]
+    return tuple(rows)
 
 
 @lru_cache(maxsize=None)

@@ -477,6 +477,8 @@ def cross_polytope(n: int) -> Complex:
     """
     if n < 0:
         raise InvalidInput("cross_polytope needs n >= 0")
+    if n > 10:
+        raise ResourceLimit("cross_polytope builds 2^n facets; need n <= 10")
     out = Complex(0, (0,))
     s0 = Complex(2, (1, 2))
     for _ in range(n):

@@ -11,7 +11,7 @@ from __future__ import annotations
 import json
 
 from .complexes import Complex, make_complex
-from .errors import InvalidInput
+from .errors import InvalidInput, ResourceLimit
 from .multicomplexes import Multicomplex, make_multicomplex
 
 
@@ -25,6 +25,8 @@ def complex_from_dict(d: dict) -> Complex:
         facets = [[int(v) for v in f] for f in d["facets"]]
     except (KeyError, TypeError, ValueError) as exc:
         raise InvalidInput(f"bad complex JSON: {exc}") from exc
+    if m > 64:
+        raise ResourceLimit(f"ground set [{m}] is too large; complexes need m <= 64")
     for f in facets:
         for v in f:
             if not 1 <= v <= m:

@@ -176,10 +176,35 @@ def _record_canonical_forms(monkeypatch) -> list:
 
 def test_iso_classes_canonicalize_each_labeled_complex_once(monkeypatch):
     labeled = all_labeled_complexes(4, include_simplex=False)
-    census._iso_classes.cache_clear()
+    census._complex_classes.cache_clear()
     seen = _record_canonical_forms(monkeypatch)
-    assert len(census._iso_classes(4, False)) == 28
+    assert len(enumerate_complexes(4, include_simplex=False)) == 28
     assert seen == labeled
+
+
+def test_warm_complex_classes_serve_the_census_and_the_squarefree_murai_rows(monkeypatch):
+    enumerate_complexes(4, include_simplex=False)
+    census._murai_census.cache_clear()
+    seen = _record_canonical_forms(monkeypatch)
+    census._murai_census(4)
+    enumerate_complexes(4, include_simplex=True)
+    assert seen == []
+
+
+def test_squarefree_murai_rows_partition_like_the_multicomplex_key():
+    # the rows of caps (1,...,1) come from the complex table, not from
+    # multicomplex_canonical_key; both must give the same classes
+    for n, labeled in zip((1, 2, 3, 4, 5), (1, 4, 18, 166, 7579)):
+        caps = (1,) * n
+        classes = {}
+        for m in enumerate_multicomplexes(caps):
+            classes.setdefault(multicomplex_canonical_key(m), []).append(m)
+        assert sum(map(len, classes.values())) == labeled
+        rows = [row for row in census._murai_census(n) if row[0] == caps]
+        keys = [multicomplex_canonical_key(m) for _c, m, _n, _form in rows]
+        assert sorted(keys) == sorted(classes)
+        for key, (_c, m, multiplicity, _form) in zip(keys, rows):
+            assert m in classes[key] and multiplicity == len(classes[key])
 
 
 def test_warm_bier_tables_are_not_canonicalized_again(monkeypatch):
@@ -193,12 +218,14 @@ def test_warm_bier_tables_are_not_canonicalized_again(monkeypatch):
 
 
 def test_murai_census_builds_one_sphere_per_permutation_orbit(monkeypatch):
+    census._complex_classes.cache_clear()
     census._murai_census.cache_clear()
     census._murai_spheres.cache_clear()
     seen = _record_canonical_forms(monkeypatch)
     rows = census._murai_census(4)
-    # only squarefree caps go through canonical_form: the 166 proper
-    # complexes on [4], each a labeled multicomplex with caps (1,1,1,1)
+    # only squarefree caps go through canonical_form, in the complex table:
+    # the 166 proper complexes on [4], each a labeled multicomplex with
+    # caps (1,1,1,1)
     assert len(seen) == 166
     assert {k.m for k in seen} == {4}
     built = []

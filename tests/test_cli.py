@@ -6,7 +6,7 @@ from pathlib import Path
 
 import pytest
 
-from bierlab import cli, complexes, tor
+from bierlab import cli, complexes, jsonio, tor
 from bierlab.cache import cache_put
 from bierlab.census import VerificationReport, enumerate_complexes
 from bierlab.cli import build_parser, main, run
@@ -361,31 +361,37 @@ def test_jobs_below_one_are_refused_while_parsing(monkeypatch, capsys, value):
 
 
 @pytest.mark.parametrize(
-    "argv, error",
+    "argv, error, work",
     [
-        (["dual", "--in", "SIMPLEX22"], "need <= 2^20"),
-        (["bier", "--in", "SIMPLEX22"], "need <= 2^20"),
-        (["classify", "--in", "SIMPLEX22"], "need <= 2^20"),
-        (["faces", "--in", "SIMPLEX22"], "need <= 2^20"),
-        (["murai", "--in", "CAPS40"], "need <= 10^5"),
-        (["murai-ideal", "--in", "CAPS40"], "need <= 10^5"),
-        (["cubical", "--in", "OCTAHEDRON4", "--homology"], "need m <= 5"),
-        (["cubical", "--in", "OCTAHEDRON4", "--gw", "--resolution", "100"], "need <= 10^6"),
-        (["cubical", "--in", "CYCLE5", "--gw", "--resolution", "0"], "resolution must be positive"),
-        (["census", "--m", "-1"], "ground-set size must be nonnegative, got -1"),
+        (["dual", "--in", "SIMPLEX22"], "need <= 2^20", None),
+        (["bier", "--in", "SIMPLEX22"], "need <= 2^20", None),
+        (["classify", "--in", "SIMPLEX22"], "need <= 2^20", None),
+        (["faces", "--in", "SIMPLEX22"], "need <= 2^20", None),
+        (["murai", "--in", "CAPS40"], "need <= 10^5", None),
+        (["murai-ideal", "--in", "CAPS40"], "need <= 10^5", None),
+        (["cubical", "--in", "OCTAHEDRON4", "--homology"], "need m <= 5", None),
+        (["cubical", "--in", "OCTAHEDRON4", "--gw", "--resolution", "100"], "need <= 10^6", None),
+        (["cubical", "--in", "CYCLE5", "--gw", "--resolution", "0"], "resolution must be positive",
+         None),
+        (["census", "--m", "-1"], "ground-set size must be nonnegative, got -1", None),
+        (["bier", "--in", "VOID8000"], "need m <= 64", (jsonio, "make_complex")),
+        (["complex", "--build", "cross-polytope:11"], "need n <= 10", (complexes, "join")),
     ],
     ids=["dual", "bier", "classify", "faces", "murai", "murai-ideal", "cubical",
-         "cubical-gw-grid", "cubical-gw-resolution", "census"],
+         "cubical-gw-grid", "cubical-gw-resolution", "census", "bier-json-m8000",
+         "cross-polytope-11"],
 )
 def test_exponential_and_negative_inputs_exit_2_before_any_work(
-    tmp_path, monkeypatch, capsys, argv, error
+    tmp_path, monkeypatch, capsys, argv, error, work
 ):
-    # each of these ran for more than 20 s, or ended in a traceback
+    # each of these ran for more than 20 s, or ended in a traceback; Z(K)
+    # and each case's named step are patched to fail
     files = {
         "SIMPLEX22": complex_to_dict(complexes.boundary_simplex(22)),
         "CAPS40": {"c": [40] * 5, "max_monomials": [[1] * 5]},
         "OCTAHEDRON4": complex_to_dict(complexes.cross_polytope(4)),
         "CYCLE5": complex_to_dict(complexes.cycle(5)),
+        "VOID8000": {"m": 8000, "facets": []},
     }
     for name, payload in files.items():
         (tmp_path / name).write_text(json.dumps(payload))
@@ -394,6 +400,8 @@ def test_exponential_and_negative_inputs_exit_2_before_any_work(
         raise AssertionError("work started before the refusal")
 
     monkeypatch.setattr(cli, "z_complex", no_work)
+    if work is not None:
+        monkeypatch.setattr(*work, no_work)
     argv = [str(tmp_path / a) if a in files else a for a in argv]
     monkeypatch.setattr(sys, "argv", ["bierlab"] + argv + ["--no-cache"])
     with pytest.raises(SystemExit) as exc:

@@ -6,8 +6,7 @@ The oracles here are a brute force over all m! relabelings and the two
 searches it replaced, kept verbatim below: the backtracking canonical
 form and the permutation key of multicomplexes.  Keys changed once with
 the new engine; these tests show the change is a one-to-one key map that
-keeps every partition into classes.  The colored multicomplex encoding,
-which squarefree caps no longer use, is kept too and checked the same way.
+keeps every partition into classes.
 """
 
 import itertools
@@ -78,26 +77,6 @@ def retired_multicomplex_key(m: Multicomplex) -> tuple:
         if best is None or relabeled < best:
             best = relabeled
     return (m.c, best)
-
-
-def colored_multicomplex_key(m: Multicomplex) -> tuple:
-    """The colored encoding of ``multicomplex_canonical_key`` for every cap
-    vector, squarefree ones included: a vertex per level (i, j) colored j,
-    a marker per variable and one per maximal monomial; facets are each
-    variable's levels plus its marker, and each monomial's levels plus its
-    marker."""
-    offsets = list(itertools.accumulate(m.c, initial=0))
-    levels, n = offsets[-1], m.nvars
-
-    def below(a) -> int:
-        return sum(((1 << x) - 1) << offsets[i] for i, x in enumerate(a))
-
-    facets = [((1 << ci) - 1) << offsets[i] | 1 << (levels + i) for i, ci in enumerate(m.c)]
-    facets += [below(a) | 1 << (levels + n + t) for t, a in enumerate(m.max_monomials)]
-    colors = [j for ci in m.c for j in range(1, ci + 1)]
-    colors += [0] * n + [-1] * len(m.max_monomials)
-    k = Complex.from_masks(len(colors), facets)
-    return (m.c, canonical_labeling(k, colors)[0])
 
 
 def _retired_vertex_invariants(k: Complex):
@@ -315,18 +294,6 @@ def test_multicomplex_keys_agree_with_the_retired_key_at_total_5(c, data):
     for x, y in ((a, b), (a, b_moved)):
         same = multicomplex_canonical_key(x) == multicomplex_canonical_key(y)
         assert same == (retired_multicomplex_key(x) == retired_multicomplex_key(y))
-
-
-def test_multicomplex_keys_partition_like_the_colored_key():
-    # squarefree caps are keyed by their complex; the colored encoding,
-    # which every cap vector used before, must give the same classes
-    squarefree = [m for n in (1, 2, 3, 4, 5) for m in _multicomplexes((1,) * n)]
-    small = [m for total in (1, 2, 3, 4) for c in compositions(total) for m in _multicomplexes(c)]
-    for labeled in (squarefree, small):
-        assert_one_to_one(
-            [colored_multicomplex_key(m) for m in labeled],
-            [multicomplex_canonical_key(m) for m in labeled],
-        )
 
 
 def test_caps_222_pair_stays_apart():
