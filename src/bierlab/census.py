@@ -97,15 +97,54 @@ def all_labeled_complexes(m: int, include_simplex: bool = True) -> list[Complex]
     return [Complex(m, facets) for facets in chains if include_simplex or facets != simplex]
 
 
+def _box_positions(c: tuple[int, ...]) -> dict[tuple[int, ...], int]:
+    """Exponent vector -> its mixed-radix position in the box of caps c,
+    the first variable least significant: with caps (1,...,1) a vector's
+    position is the mask of its support."""
+    box = itertools.product(*(range(x + 1) for x in reversed(c)))
+    return {a[::-1]: i for i, a in enumerate(box)}
+
+
+def _orbit_classes(c, members, form_of, marks: dict) -> dict[tuple, list]:
+    """Form -> [first member with it, how many have it], forms in order of
+    first appearance.  ``members`` yields (member, positions in the box of
+    caps c), a member's code being ``sum(1 << p for p in positions)``, and
+    ``marks`` maps caps to {code: form}.
+
+    Only the first member of each orbit under the variable permutations is
+    given ``form_of``, which must be constant on orbits.  Its image under
+    each permutation is marked with the form, in the marks of the image's
+    caps, and each later member of the orbit finds and removes its mark
+    (McKay, Isomorph-free exhaustive generation, 1998)."""
+    at = _box_positions(c)
+    relabelings = []
+    for perm in itertools.permutations(range(len(c))):
+        image = tuple(c[i] for i in perm)
+        image_at = _box_positions(image)
+        table = [image_at[tuple(a[i] for i in perm)] for a in at]
+        relabelings.append((marks.setdefault(image, {}), table))
+    own = marks[c]
+    classes: dict[tuple, list] = {}
+    for x, positions in members:
+        code = sum(1 << p for p in positions)
+        form = own.pop(code, None)
+        if form is None:
+            form = form_of(x)
+            for image_marks, table in relabelings:
+                image_marks[sum(1 << table[p] for p in positions)] = form
+            del own[code]
+        classes.setdefault(form, [x, 0])[1] += 1
+    return classes
+
+
 @lru_cache(maxsize=None)
 def _complex_classes(m: int) -> dict[tuple, list]:
     """Canonical form -> [first labeled complex with it, how many have it]
     over the complexes on [m] but the simplex, forms in order of first
-    appearance; the one place a labeled complex is canonicalized."""
-    classes: dict[tuple, list] = {}
-    for k in all_labeled_complexes(m, include_simplex=False):
-        classes.setdefault(canonical_form(k), [k, 0])[1] += 1
-    return classes
+    appearance; the one place a labeled complex is canonicalized, once per
+    class.  A facet mask is a position in the box of caps (1,...,1)."""
+    members = ((k, k.facets) for k in all_labeled_complexes(m, include_simplex=False))
+    return _orbit_classes((1,) * m, members, canonical_form, {})
 
 
 def enumerate_complexes(
@@ -340,16 +379,19 @@ def _murai_census(total: int):
     ``_complex_classes(total)``, with the canonical form of the complex;
     other caps the second entry of ``multicomplex_canonical_key``.  No form
     records which variable is which, so two rows share it iff a variable
-    permutation carries one row's caps and representative onto the other's."""
+    permutation carries one row's caps and representative onto the other's.
+    ``compositions`` lists sorted caps before their permutations, so the
+    members of a row with unsorted caps are all marked before it is read."""
     rows = []
+    marks: dict[tuple, dict[int, tuple]] = {}
     for c in compositions(total):
         if c == (1,) * total:
             table = _complex_classes(total).items()
             classes = {form: (multicomplex_of_complex(k), n) for form, (k, n) in table}
         else:
-            classes = {}
-            for m in enumerate_multicomplexes(c):
-                classes.setdefault(multicomplex_canonical_key(m)[1], [m, 0])[1] += 1
+            at = _box_positions(c)
+            members = ((m, [at[a] for a in m.max_monomials]) for m in enumerate_multicomplexes(c))
+            classes = _orbit_classes(c, members, lambda m: multicomplex_canonical_key(m)[1], marks)
         rows += [(c, m, n, form) for form, (m, n) in classes.items()]
     return tuple(rows)
 

@@ -14,6 +14,7 @@ from __future__ import annotations
 
 import argparse
 import functools
+import os
 import sys
 from multiprocessing import Pool
 from typing import Callable, NamedTuple
@@ -313,10 +314,17 @@ def run(argv=None) -> int:
 
 def main():
     try:
-        sys.exit(run())
+        status = run()
+        sys.stdout.flush()  # so a closed pipe raises here, not at exit
     except BierlabError as exc:
         print(f"error: {exc}", file=sys.stderr)
         sys.exit(2)
+    except BrokenPipeError:
+        # stdout closed early (``bierlab ... | head``): point it at devnull
+        # so the flush at exit cannot fail again, as Python's signal docs do
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        sys.exit(1)
+    sys.exit(status)
 
 
 if __name__ == "__main__":

@@ -23,7 +23,7 @@ from bierlab.complexes import (
     vertices_of,
 )
 from bierlab.errors import InvalidInput, ResourceLimit
-from bierlab.multicomplexes import make_multicomplex, murai_sphere
+from bierlab.multicomplexes import make_multicomplex, multicomplex_of_complex, murai_sphere
 from bierlab.tor import QQ
 
 
@@ -175,11 +175,12 @@ def _record_canonical_forms(monkeypatch) -> list:
 
 
 def test_iso_classes_canonicalize_each_labeled_complex_once(monkeypatch):
-    labeled = all_labeled_complexes(4, include_simplex=False)
+    # at most once: only each class's first labeled complex is searched,
+    # and the other 138 members of the 28 classes find their marks
     census._complex_classes.cache_clear()
     seen = _record_canonical_forms(monkeypatch)
     assert len(enumerate_complexes(4, include_simplex=False)) == 28
-    assert seen == labeled
+    assert seen == [k for k, _n in census._complex_classes(4).values()]
 
 
 def test_warm_complex_classes_serve_the_census_and_the_squarefree_murai_rows(monkeypatch):
@@ -222,12 +223,22 @@ def test_murai_census_builds_one_sphere_per_permutation_orbit(monkeypatch):
     census._murai_census.cache_clear()
     census._murai_spheres.cache_clear()
     seen = _record_canonical_forms(monkeypatch)
+    keyed = []
+    real_key = census.multicomplex_canonical_key
+    monkeypatch.setattr(
+        census, "multicomplex_canonical_key", lambda m: keyed.append(m) or real_key(m)
+    )
     rows = census._murai_census(4)
     # only squarefree caps go through canonical_form, in the complex table:
-    # the 166 proper complexes on [4], each a labeled multicomplex with
-    # caps (1,1,1,1)
-    assert len(seen) == 166
+    # one representative of each of the 28 classes of proper complexes on
+    # [4], each a labeled multicomplex with caps (1,1,1,1)
+    assert len(seen) == 28
     assert {k.m for k in seen} == {4}
+    # other caps are keyed once per class, and only with sorted caps: the
+    # permuted-caps rows are all marked by then
+    sorted_rows = [c for c, *_ in rows if list(c) == sorted(c) and c != (1, 1, 1, 1)]
+    assert len(keyed) == len(sorted_rows)
+    assert all(list(m.c) == sorted(m.c) for m in keyed)
     built = []
 
     def recording(m):
@@ -239,6 +250,39 @@ def test_murai_census_builds_one_sphere_per_permutation_orbit(monkeypatch):
     # one sphere per row whose caps are sorted; the other rows reuse them
     assert len(built) == 90
     assert all(list(m.c) == sorted(m.c) for m in built)
+
+
+def _keyed_classes(labeled, form_of) -> list:
+    """(form, first member with it, how many have it) in order of first
+    appearance, keying every labeled object."""
+    classes = {}
+    for x in labeled:
+        classes.setdefault(form_of(x), [x, 0])[1] += 1
+    return [(form, x, n) for form, (x, n) in classes.items()]
+
+
+def test_marked_tables_match_keying_every_labeled_object():
+    # the tables key one member per orbit and mark its relabelings; keying
+    # every member must give the same rows, order, representatives and
+    # multiplicities
+    for m in range(6):
+        labeled = all_labeled_complexes(m, include_simplex=False)
+        table = [(form, k, n) for form, (k, n) in census._complex_classes(m).items()]
+        assert table == _keyed_classes(labeled, complexes.canonical_form), m
+    for total in range(1, 6):
+        rows = []
+        for c in compositions(total):
+            if c == (1,) * total:
+                labeled = all_labeled_complexes(total, include_simplex=False)
+                classes = [
+                    (form, multicomplex_of_complex(k), n)
+                    for form, k, n in _keyed_classes(labeled, complexes.canonical_form)
+                ]
+            else:
+                labeled = enumerate_multicomplexes(c)
+                classes = _keyed_classes(labeled, lambda x: multicomplex_canonical_key(x)[1])
+            rows += [(c, x, n, form) for form, x, n in classes]
+        assert list(census._murai_census(total)) == rows, total
 
 
 def test_reused_murai_spheres_match_their_own_keys():

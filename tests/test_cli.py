@@ -1,6 +1,7 @@
 import json
 import os
 import shlex
+import subprocess
 import sys
 from pathlib import Path
 
@@ -424,3 +425,17 @@ def test_one_parser_serves_every_run_and_no_option_outlives_its_run(tmp_path):
     assert "gw" in read(out)
     run(["cubical", "--in", str(k), "--out", str(out)])
     assert "gw" not in read(out)
+
+
+def test_a_reader_that_closes_the_pipe_early_gets_no_traceback():
+    # the complex is about 110 kB of JSON, more than a pipe buffer holds,
+    # so the write is still pending when the reader closes its end
+    paths = [str(Path(__file__).resolve().parents[1] / "src"), os.environ.get("PYTHONPATH")]
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, paths)))
+    argv = [sys.executable, "-m", "bierlab.cli", "complex", "--build", "cross-polytope:10"]
+    with subprocess.Popen(argv, stdout=subprocess.PIPE, stderr=subprocess.PIPE, env=env) as proc:
+        assert proc.stdout.read(16)
+        proc.stdout.close()
+        err = proc.stderr.read().decode()
+    assert proc.returncode == 1
+    assert "Traceback" not in err and "BrokenPipeError" not in err, err
