@@ -4,7 +4,14 @@ nerve of a product of a cube with one of four small factors.
 Run:  python3 demos/flag_classification.py   (about ten seconds)
 """
 
-from bierlab import classify_bier, classify_murai, make_complex, make_multicomplex
+from bierlab import (
+    classify_bier,
+    drop_ghosts,
+    make_complex,
+    make_multicomplex,
+    match_flag_family,
+    murai_sphere,
+)
 from bierlab.census import enumerate_complexes, enumerate_multicomplexes, verify
 
 print("== classifying a few flag Bier spheres ==")
@@ -16,7 +23,7 @@ for gens, m in [([[1], [2], [3]], 3), ([[1, 2], [3, 4]], 4), ([[1, 2], [2, 3]], 
 print()
 print("== a Murai example: caps (2,1), generators x and y ==")
 mc = make_multicomplex((2, 1), [(1, 0), (0, 1)])
-print("classification:", classify_murai(mc).tags, "(the pentagon)")
+print("flag family:", match_flag_family(drop_ghosts(murai_sphere(mc))), "(the pentagon)")
 
 print()
 print("== the censuses behind the theorems ==")

@@ -35,6 +35,7 @@ from .duality import (
     alexander_dual,
     bier_sphere,
     classify_bier,
+    match_flag_family,
     match_truncation_family,
 )
 from .errors import InvalidInput, ResourceLimit
@@ -44,7 +45,6 @@ from .multicomplexes import (
     _box,
     _divides,
     bier_relabeling_to_murai,
-    classify_murai,
     multicomplex_of_complex,
     murai_face_ideal,
     murai_sphere,
@@ -359,14 +359,13 @@ def _suite_bier_13types(report: VerificationReport, seed: int, sample) -> None:
 def _suite_flag_bier(report: VerificationReport, seed: int, sample) -> None:
     kinds: dict[str, int] = {}
     for m in (3, 4, 5):
-        for k in _census_no_simplex(m):
-            cls = classify_bier(k)
-            if not cls.flag:
+        for k, sphere, _key in _bier_spheres(m):
+            if not is_flag(sphere):
                 continue
-            ok = cls.flag_kind is not None
-            report.check(ok, {"m": m, "complex": k.facet_sets()})
-            if ok:
-                label = f"{cls.flag_kind.family}:n={cls.flag_kind.n}"
+            kind = match_flag_family(sphere)
+            report.check(kind is not None, {"m": m, "complex": k.facet_sets()})
+            if kind is not None:
+                label = f"{kind.family}:n={kind.n}"
                 kinds[label] = kinds.get(label, 0) + 1
     report.details["kinds"] = dict(sorted(kinds.items()))
 
@@ -424,14 +423,13 @@ def _suite_flag_murai(report: VerificationReport, seed: int, sample) -> None:
     kinds: dict[str, int] = {}
     one_dim_classes: set[str] = set()
     for total in (2, 3, 4):
-        for _, m, multiplicity, _sphere, key in _murai_spheres(total):
-            cls = classify_murai(m)
-            if not cls.flag:
+        for _, m, multiplicity, sphere, key in _murai_spheres(total):
+            if not is_flag(sphere):
                 continue
-            ok = cls.flag_kind is not None
-            report.check(ok, {"c": m.c, "max_monomials": m.max_monomials})
-            if ok:
-                label = f"{cls.flag_kind.family}:n={cls.flag_kind.n}"
+            kind = match_flag_family(sphere)
+            report.check(kind is not None, {"c": m.c, "max_monomials": m.max_monomials})
+            if kind is not None:
+                label = f"{kind.family}:n={kind.n}"
                 kinds[label] = kinds.get(label, 0) + multiplicity
             if total == 3:
                 one_dim_classes.add(key)
@@ -461,7 +459,8 @@ def _suite_golod(report: VerificationReport, seed: int, sample) -> None:
     that is the m = 3 class of an edge plus a ghost vertex, whose Bier
     sphere is a 4-gon.
     """
-    verdict_cache: dict[tuple[str, int], tuple[bool, bool]] = {}
+    # sphere key -> (truncation cuts, QQ verdict, GF(2) verdict)
+    by_key: dict[str, tuple] = {}
     outside_k_family = []
     sampled = False
     for m in (3, 4, 5):
@@ -470,7 +469,10 @@ def _suite_golod(report: VerificationReport, seed: int, sample) -> None:
             table = random.Random(seed).sample(table, sample)
             sampled = True
         for k, sphere, key in table:
-            cuts = match_truncation_family(sphere)
+            if key not in by_key:
+                cuts = match_truncation_family(sphere)
+                by_key[key] = (cuts, golod_summary(sphere, QQ), golod_summary(sphere, GF2))
+            cuts, *verdicts = by_key[key]
             expected_golod = cuts == 0
             expected_min_non = cuts is not None and cuts > 0
             cls = classify_bier(k)
@@ -480,11 +482,7 @@ def _suite_golod(report: VerificationReport, seed: int, sample) -> None:
                 mismatches.append({"k_level_cuts": k_cuts, "sphere_cuts": cuts})
             if k_cuts is None and cuts is not None:
                 outside_k_family.append({"m": m, "complex": k.facet_sets(), "cuts": cuts})
-            for tag in (QQ, GF2):
-                got = verdict_cache.get((key, tag.p))
-                if got is None:
-                    got = golod_summary(sphere, tag)
-                    verdict_cache[(key, tag.p)] = got
+            for tag, got in zip((QQ, GF2), verdicts):
                 if got != (expected_golod, expected_min_non):
                     mismatches.append(
                         {
@@ -509,11 +507,10 @@ def _suite_golod(report: VerificationReport, seed: int, sample) -> None:
 
 def _sphere_classes() -> dict[str, Complex]:
     """One ghost-free sphere per isomorphism class, by canonical key, over
-    the Bier spheres with m <= 5 and the Murai spheres with |c| <= 5."""
+    the Murai spheres with |c| <= 5.  These include the Bier spheres with
+    m <= 5: with caps (1,...,1) the Murai sphere of K is the Bier sphere of
+    K relabeled (``bier_relabeling_to_murai``), so no Bier sphere is built."""
     out: dict[str, Complex] = {}
-    for m in (3, 4, 5):
-        for _k, sphere, key in _bier_spheres(m):
-            out.setdefault(key, sphere)
     for total in (1, 2, 3, 4, 5):
         for *_row, sphere, key in _murai_spheres(total):
             out.setdefault(key, sphere)
@@ -589,8 +586,7 @@ def _suite_ideal_consistency(report: VerificationReport, seed: int, sample) -> N
 
 def _suite_cubical(report: VerificationReport, seed: int, sample) -> None:
     for m in (1, 2, 3, 4):
-        for k in _census_no_simplex(m):
-            sphere = bier_sphere(k)
+        for k, sphere, _key in _bier_spheres(m):
             z = z_complex(k)
             tops = z.maximal_cells()
             issues = []

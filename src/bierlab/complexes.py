@@ -3,7 +3,7 @@
 Vertices are labeled 1..m and a subset of [m] is a Python int whose bit i-1
 stands for vertex i.  All routines here are pure; ``Complex`` values are
 immutable and hashable.  The representation is designed and tested for
-m <= 64 (the largest ground sets in scope are 12 elements).
+m <= MAX_GROUND = 64 (the largest ground sets in scope are 12 elements).
 
 A complex always contains the empty face.  The void complex {emptyset} is
 stored as ``facets == (0,)``.  Ghost vertices (ground elements lying in no
@@ -18,6 +18,8 @@ from functools import lru_cache
 
 from .errors import InvalidInput, ResourceLimit
 
+# the largest ground set the builders and the JSON reader accept
+MAX_GROUND = 64
 
 # ---------------------------------------------------------------------------
 # vertex-set helpers
@@ -515,24 +517,27 @@ def truncation_sphere(m: int, cuts: int) -> Complex:
 
 
 _BUILDERS = {
-    "boundary-simplex": lambda a: boundary_simplex(int(a[0])),
-    "simplex": lambda a: simplex(int(a[0])),
-    "cycle": lambda a: cycle(int(a[0])),
-    "cross-polytope": lambda a: cross_polytope(int(a[0])),
-    "points": lambda a: points(int(a[0]), int(a[1])),
-    "void": lambda a: Complex(int(a[0]), (0,)),
+    "boundary-simplex": lambda a: boundary_simplex(a[0]),
+    "simplex": lambda a: simplex(a[0]),
+    "cycle": lambda a: cycle(a[0]),
+    "cross-polytope": lambda a: cross_polytope(a[0]),
+    "points": lambda a: points(a[0], a[1]),
+    "void": lambda a: Complex(a[0], (0,)),
     "nerve-q23": lambda a: nerve_q2_3(),
-    "truncation-sphere": lambda a: truncation_sphere(int(a[0]), int(a[1])),
+    "truncation-sphere": lambda a: truncation_sphere(a[0], a[1]),
 }
 
 
 def standard_complex(spec: str) -> Complex:
-    """Builder lookup for strings like 'cycle:6', 'points:3,3', 'nerve-q23'."""
+    """Builder lookup for strings like 'cycle:6', 'points:3,3', 'nerve-q23'.
+    No argument may exceed ``MAX_GROUND``."""
     name, _, argstr = spec.partition(":")
     if name not in _BUILDERS:
         raise InvalidInput(f"unknown builder {name!r}; choose from {sorted(_BUILDERS)}")
-    args = [a for a in argstr.split(",") if a] if argstr else []
     try:
+        args = [int(a) for a in argstr.split(",") if a]
+        if any(n > MAX_GROUND for n in args):
+            raise ResourceLimit(f"{spec!r}: need each argument <= {MAX_GROUND}")
         return _BUILDERS[name](args)
     except (IndexError, ValueError) as exc:
         raise InvalidInput(f"bad arguments for builder {name!r}: {argstr!r}") from exc

@@ -10,9 +10,16 @@ from __future__ import annotations
 
 import json
 
-from .complexes import Complex, make_complex
+from .complexes import MAX_GROUND, Complex, make_complex
 from .errors import InvalidInput, ResourceLimit
 from .multicomplexes import Multicomplex, make_multicomplex
+
+
+def _int(x) -> int:
+    """A JSON integer as is; ``int`` would also take 2.7, true and "2"."""
+    if type(x) is not int:
+        raise InvalidInput(f"expected an integer, got {json.dumps(x)}")
+    return x
 
 
 def complex_to_dict(k: Complex) -> dict:
@@ -21,12 +28,12 @@ def complex_to_dict(k: Complex) -> dict:
 
 def complex_from_dict(d: dict) -> Complex:
     try:
-        m = int(d["m"])
-        facets = [[int(v) for v in f] for f in d["facets"]]
+        m = _int(d["m"])
+        facets = [[_int(v) for v in f] for f in d["facets"]]
     except (KeyError, TypeError, ValueError) as exc:
         raise InvalidInput(f"bad complex JSON: {exc}") from exc
-    if m > 64:
-        raise ResourceLimit(f"ground set [{m}] is too large; complexes need m <= 64")
+    if m > MAX_GROUND:
+        raise ResourceLimit(f"ground set [{m}] is too large; complexes need m <= {MAX_GROUND}")
     for f in facets:
         for v in f:
             if not 1 <= v <= m:
@@ -36,8 +43,8 @@ def complex_from_dict(d: dict) -> Complex:
 
 def multicomplex_from_dict(d: dict) -> Multicomplex:
     try:
-        c = [int(x) for x in d["c"]]
-        gens = [[int(x) for x in a] for a in d["max_monomials"]]
+        c = [_int(x) for x in d["c"]]
+        gens = [[_int(x) for x in a] for a in d["max_monomials"]]
     except (KeyError, TypeError, ValueError) as exc:
         raise InvalidInput(f"bad multicomplex JSON: {exc}") from exc
     return make_multicomplex(c, gens)

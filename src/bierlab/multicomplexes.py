@@ -14,8 +14,7 @@ import itertools
 import math
 from dataclasses import dataclass
 
-from .complexes import Complex, check_antichain, drop_ghosts, is_flag, maximal
-from .duality import BierClassification, match_flag_family
+from .complexes import Complex, check_antichain, maximal
 from .errors import InvalidInput, ResourceLimit, UndefinedDual
 
 
@@ -289,12 +288,3 @@ def bier_relabeling_to_murai(m_ground: int) -> list[int]:
         out[i - 1] = 2 * i - 1
         out[m_ground + i - 1] = 2 * i
     return out
-
-
-def classify_murai(m: Multicomplex) -> BierClassification:
-    """Flag family of the sphere, by isomorphism against the references;
-    everything else is 'other'."""
-    sphere = murai_sphere(m)
-    flag = is_flag(sphere)
-    kind = match_flag_family(drop_ghosts(sphere)) if flag else None
-    return BierClassification(False, None, flag, kind)

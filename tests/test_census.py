@@ -4,7 +4,7 @@ import math
 
 import pytest
 
-from bierlab import census, complexes
+from bierlab import census, complexes, duality, multicomplexes
 from bierlab.census import (
     all_labeled_complexes,
     compositions,
@@ -160,18 +160,20 @@ def test_golod_suite_reports_wrong_verdicts(monkeypatch):
     assert r.pass_count == 0 and len(r.counterexamples) == r.instance_count
 
 
+def _record_calls(monkeypatch, *targets) -> list:
+    """Route each (module, name) through one recorder of the first argument."""
+    seen = []
+    for module, name in targets:
+        real = getattr(module, name)
+        monkeypatch.setattr(
+            module, name, lambda x, *args, real=real: seen.append(x) or real(x, *args)
+        )
+    return seen
+
+
 def _record_canonical_forms(monkeypatch) -> list:
     """Route every canonical_form call through a recorder of its argument."""
-    seen = []
-    real = complexes.canonical_form
-
-    def recording(k):
-        seen.append(k)
-        return real(k)
-
-    monkeypatch.setattr(complexes, "canonical_form", recording)
-    monkeypatch.setattr(census, "canonical_form", recording)
-    return seen
+    return _record_calls(monkeypatch, (complexes, "canonical_form"), (census, "canonical_form"))
 
 
 def test_iso_classes_canonicalize_each_labeled_complex_once(monkeypatch):
@@ -289,6 +291,61 @@ def test_reused_murai_spheres_match_their_own_keys():
     for total in (1, 2, 3, 4, 5):
         for _caps, m, _n, _sphere, key in census._murai_spheres(total):
             assert canonical_key(drop_ghosts(murai_sphere(m))) == key, m
+
+
+def test_bier_rows_key_like_their_unit_caps_murai_rows():
+    # with caps (1,...,1) the Murai sphere of K is the Bier sphere of K
+    # relabeled, which lets _sphere_classes read the Bier classes off the
+    # Murai rows; ideal-consistency compares the two facet by facet only
+    # for m <= 4
+    for m in (1, 2, 3, 4, 5):
+        murai = {
+            form: key
+            for (caps, _mc, _n, form), (*_row, key) in zip(
+                census._murai_census(m), census._murai_spheres(m)
+            )
+            if caps == (1,) * m
+        }
+        bier = census._bier_spheres(m)
+        assert len(bier) == len(murai)
+        for k, _sphere, key in bier:
+            assert murai[(k.m, k.facets)] == key, k
+
+
+def test_a_cold_sphere_census_builds_no_bier_sphere(monkeypatch):
+    for table in (census._complex_classes, census._murai_census, census._murai_spheres,
+                  census._bier_spheres):
+        table.cache_clear()
+    built = _record_calls(monkeypatch, (census, "bier_sphere"), (duality, "bier_sphere"))
+    r = verify("dehn-sommerville")
+    assert r.ok and r.details["sphere_classes"] == 205
+    assert built == []
+
+
+def test_flag_suites_read_their_spheres_from_the_warm_tables(monkeypatch):
+    for m in (3, 4, 5):
+        census._bier_spheres(m)
+    for total in (2, 3, 4):
+        census._murai_spheres(total)
+    built = _record_calls(
+        monkeypatch,
+        (census, "bier_sphere"), (duality, "bier_sphere"),
+        (census, "murai_sphere"), (multicomplexes, "murai_sphere"),
+    )
+    assert verify("flag-bier").ok
+    assert verify("flag-murai").ok
+    assert built == []
+
+
+def test_golod_matches_each_sphere_class_against_the_truncations_once(monkeypatch):
+    key_of = {
+        id(sphere): key for m in (3, 4, 5) for _k, sphere, key in census._bier_spheres(m)
+    }
+    matched = _record_calls(monkeypatch, (census, "match_truncation_family"))
+    # only the matches are counted, so the verdicts need not be computed
+    monkeypatch.setattr(census, "golod_summary", lambda sphere, tag: (False, False))
+    verify("golod")
+    assert sorted(key_of[id(s)] for s in matched) == sorted(set(key_of.values()))
 
 
 @pytest.mark.parametrize("sample", [0, -1])

@@ -377,10 +377,13 @@ def test_jobs_below_one_are_refused_while_parsing(monkeypatch, capsys, value):
         (["census", "--m", "-1"], "ground-set size must be nonnegative, got -1", None),
         (["bier", "--in", "VOID8000"], "need m <= 64", (jsonio, "make_complex")),
         (["complex", "--build", "cross-polytope:11"], "need n <= 10", (complexes, "join")),
+        (["complex", "--build", "cycle:100000"], "need each argument <= 64", (complexes, "cycle")),
+        (["complex", "--build", "simplex:100000"], "need each argument <= 64",
+         (complexes, "simplex")),
     ],
     ids=["dual", "bier", "classify", "faces", "murai", "murai-ideal", "cubical",
          "cubical-gw-grid", "cubical-gw-resolution", "census", "bier-json-m8000",
-         "cross-polytope-11"],
+         "cross-polytope-11", "cycle-100000", "simplex-100000"],
 )
 def test_exponential_and_negative_inputs_exit_2_before_any_work(
     tmp_path, monkeypatch, capsys, argv, error, work
@@ -410,6 +413,33 @@ def test_exponential_and_negative_inputs_exit_2_before_any_work(
     assert exc.value.code == 2
     lines = capsys.readouterr().err.splitlines()
     assert len(lines) == 1 and lines[0].startswith("error: ") and error in lines[0]
+
+
+@pytest.mark.parametrize(
+    "command, payload",
+    [
+        ("bier", {"m": 3, "facets": [[1.5, 2.9], [3]]}),
+        ("bier", {"m": 3.0, "facets": [[1], [2]]}),
+        ("bier", {"m": True, "facets": [[1]]}),
+        ("bier", {"m": "3", "facets": [[1], [2]]}),
+        ("bier", {"m": 3, "facets": [[1, True], [3]]}),
+        ("murai", {"c": [2.7, 1], "max_monomials": [[1, 0]]}),
+        ("murai", {"c": [2, 1], "max_monomials": [[1, 0.5]]}),
+        ("murai", {"c": ["2", 1], "max_monomials": [[1, 0]]}),
+    ],
+    ids=["vertex-float", "m-float", "m-true", "m-string", "vertex-true", "caps-float",
+         "exponent-float", "caps-string"],
+)
+def test_json_numbers_other_than_integers_exit_2(tmp_path, monkeypatch, capsys, command, payload):
+    # int() would truncate 2.7 to 2 and read true and "2" as numbers
+    path = tmp_path / "in.json"
+    path.write_text(json.dumps(payload))
+    monkeypatch.setattr(sys, "argv", ["bierlab", command, "--in", str(path), "--no-cache"])
+    with pytest.raises(SystemExit) as exc:
+        main()
+    assert exc.value.code == 2
+    lines = capsys.readouterr().err.splitlines()
+    assert len(lines) == 1 and lines[0].startswith("error: ") and "expected an integer" in lines[0]
 
 
 def test_one_parser_serves_every_run_and_no_option_outlives_its_run(tmp_path):

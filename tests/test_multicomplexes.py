@@ -7,18 +7,18 @@ from bierlab.complexes import (
     cross_polytope,
     cycle,
     drop_ghosts,
+    is_flag,
     make_complex,
     mask_of,
     minimal_nonfaces,
 )
-from bierlab.duality import FlagKind, bier_sphere
+from bierlab.duality import FlagKind, bier_sphere, match_flag_family
 from bierlab.errors import InvalidInput, UndefinedDual
 from bierlab.multicomplexes import (
     MonomialIdeal,
     Multicomplex,
     bier_relabeling_to_murai,
     c_dual,
-    classify_murai,
     make_multicomplex,
     minimal_nonmembers,
     multicomplex_of_complex,
@@ -180,24 +180,28 @@ def test_nonmember_ideal():
     assert set(ideal.generator_strings()) == {"x2", "x1^2"}
 
 
-def test_classify_murai_pentagon():
-    cls = classify_murai(mc((2, 1), [(1, 0), (0, 1)]))
-    assert cls.flag_kind == FlagKind("cube_x_p5", 0)
+def murai_flag_family(m):
+    sphere = drop_ghosts(murai_sphere(m))
+    assert is_flag(sphere)
+    return match_flag_family(sphere)
 
 
-def test_classify_murai_square_from_unit_caps():
-    cls = classify_murai(mc((1, 1, 1), [(1, 1, 0)]))
-    assert cls.flag_kind == FlagKind("cube", 2)
+def test_murai_flag_family_pentagon():
+    assert murai_flag_family(mc((2, 1), [(1, 0), (0, 1)])) == FlagKind("cube_x_p5", 0)
 
 
-def test_classify_murai_cross_polytope_with_ghost():
+def test_murai_flag_family_square_from_unit_caps():
+    assert murai_flag_family(mc((1, 1, 1), [(1, 1, 0)])) == FlagKind("cube", 2)
+
+
+def test_murai_flag_family_cross_polytope_with_ghost():
     # single generator (x_i^{c_i})^c with c_i = 2: the sphere is the
     # boundary of a cross-polytope missing the bottom level of block i
     m = mc((2, 1), [(0, 1)])
     sphere = murai_sphere(m)
     assert mask_of([1]) in minimal_nonfaces(sphere)  # x1^(0) is a ghost
     assert are_isomorphic(drop_ghosts(sphere), cross_polytope(2)) is not None
-    assert classify_murai(m).flag_kind == FlagKind("cube", 2)
+    assert murai_flag_family(m) == FlagKind("cube", 2)
 
 
 def test_murai_sphere_invariant_under_variable_permutation():
