@@ -5,6 +5,7 @@ Run:  python3 demos/flag_classification.py   (about ten seconds)
 """
 
 from bierlab import (
+    bier_sphere,
     classify_bier,
     drop_ghosts,
     make_complex,
@@ -17,7 +18,7 @@ from bierlab.census import enumerate_complexes, enumerate_multicomplexes, verify
 print("== classifying a few flag Bier spheres ==")
 for gens, m in [([[1], [2], [3]], 3), ([[1, 2], [3, 4]], 4), ([[1, 2], [2, 3]], 3)]:
     k = make_complex(m, gens)
-    cls = classify_bier(k)
+    cls = classify_bier(k, drop_ghosts(bier_sphere(k)))
     print(f"K = {gens} on [{m}]  ->  tags {cls.tags}")
 
 print()

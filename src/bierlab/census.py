@@ -238,15 +238,14 @@ class CensusRecord:
         return asdict(self)
 
 
-def sphere_record(k: Complex, field_tag: FieldTag = QQ) -> CensusRecord:
-    """Record for the (ghost-free) Bier sphere of ``k``."""
-    sphere = drop_ghosts(bier_sphere(k))
-    tags = classify_bier(k).tags
+def sphere_record(row: tuple[Complex, Complex, str], field_tag: FieldTag = QQ) -> CensusRecord:
+    """Record for a ``_bier_spheres`` row (K, ghost-free Bier sphere, its key)."""
+    k, sphere, key = row
     betti = hochster_betti(sphere, field_tag)
     golod, min_non = golod_summary(sphere, field_tag)
     return CensusRecord(
-        canonical=canonical_key(sphere),
-        tags=tuple(tags),
+        canonical=key,
+        tags=classify_bier(k, sphere).tags,
         f=f_vector(sphere),
         h=h_vector(sphere),
         gamma=gamma_vector(sphere),
@@ -475,7 +474,7 @@ def _suite_golod(report: VerificationReport, seed: int, sample) -> None:
             cuts, *verdicts = by_key[key]
             expected_golod = cuts == 0
             expected_min_non = cuts is not None and cuts > 0
-            cls = classify_bier(k)
+            cls = classify_bier(k, sphere)
             k_cuts = 0 if cls.simplex else cls.golod_points
             mismatches = []
             if k_cuts is not None and k_cuts != cuts:

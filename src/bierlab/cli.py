@@ -120,9 +120,9 @@ def _betti_payload(k, field_tag, run_oracle):
 
 def _classify(args):
     k = load_complex(args.infile)
-    cls = classify_bier(k)
-    payload = {"tags": list(cls.tags)}
     sphere = drop_ghosts(bier_sphere(k))
+    cls = classify_bier(k, sphere)
+    payload = {"tags": list(cls.tags)}
     if cls.flag_kind is not None:
         ref = reference_flag_sphere(cls.flag_kind)
         iso = are_isomorphic(sphere, ref)
@@ -234,14 +234,13 @@ def _cubical(args):
     return payload
 
 
-def _census_record_dict(k_and_field):
-    k, field_tag = k_and_field
-    return censusmod.sphere_record(k, field_tag).to_dict()
+def _census_record_dict(row_and_field):
+    row, field_tag = row_and_field
+    return censusmod.sphere_record(row, field_tag).to_dict()
 
 
 def _census(args):
-    ks = censusmod.enumerate_complexes(args.m, up_to_iso=True, include_simplex=False)
-    work = [(k, args.field) for k in ks]
+    work = [(row, args.field) for row in censusmod._bier_spheres(args.m)]
     if args.jobs > 1:
         with Pool(args.jobs) as pool:
             records = pool.map(_census_record_dict, work)

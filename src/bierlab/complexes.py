@@ -509,6 +509,8 @@ def truncation_sphere(m: int, cuts: int) -> Complex:
     """
     if not 0 <= cuts <= m:
         raise InvalidInput("need 0 <= cuts <= m")
+    if m + cuts > MAX_GROUND:
+        raise ResourceLimit(f"truncation_sphere: need m + cuts <= {MAX_GROUND} vertices")
     k = boundary_simplex(m)
     full = (1 << m) - 1
     for i in range(cuts):

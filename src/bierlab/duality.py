@@ -19,7 +19,6 @@ from .complexes import (
     boundary_simplex,
     cross_polytope,
     cycle,
-    drop_ghosts,
     faces,
     is_flag,
     join,
@@ -216,8 +215,9 @@ def _points_count(k: Complex) -> int | None:
     return None
 
 
-def classify_bier(k: Complex) -> BierClassification:
-    """Tags of the Bier sphere of ``k`` (m >= 3, k not the full simplex):
+def classify_bier(k: Complex, sphere: Complex) -> BierClassification:
+    """Tags of ``sphere``, the ghost-free Bier sphere of ``k`` that the
+    caller built (m >= 3, k not the full simplex):
 
     * simplex: k or its dual is the boundary of the full simplex;
     * golod-family(l): k or its dual is l disjoint points (ghosts allowed).
@@ -227,7 +227,7 @@ def classify_bier(k: Complex) -> BierClassification:
       the triangle with one vertex cut off), so it is minimally non-Golod
       without the tag (``match_truncation_family`` tests the sphere
       itself);
-    * flag-family(kind): the Bier sphere is flag; the kind is found by
+    * flag-family(kind): ``sphere`` is flag; the kind is found by
       isomorphism against the four reference families.
     """
     if k.m < 3:
@@ -237,7 +237,6 @@ def classify_bier(k: Complex) -> BierClassification:
     pts = _points_count(k)
     if pts is None:
         pts = _points_count(dual)
-    sphere = bier_sphere(k)
     flag = is_flag(sphere)
-    kind = match_flag_family(drop_ghosts(sphere)) if flag else None
+    kind = match_flag_family(sphere) if flag else None
     return BierClassification(simplex, pts, flag, kind)

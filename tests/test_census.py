@@ -4,7 +4,7 @@ import math
 
 import pytest
 
-from bierlab import census, complexes, duality, multicomplexes
+from bierlab import census, cli, complexes, duality, multicomplexes
 from bierlab.census import (
     all_labeled_complexes,
     compositions,
@@ -115,7 +115,9 @@ def test_compositions():
 
 
 def test_sphere_record_round_trip():
-    record = sphere_record(points(3, 3), QQ)
+    k = points(3, 3)
+    sphere = drop_ghosts(duality.bier_sphere(k))
+    record = sphere_record((k, sphere, canonical_key(sphere)), QQ)
     assert record.flag and record.min_non_golod and not record.product_golod
     assert record.f == (1, 6, 6) and record.h == (1, 4, 1)
     assert record.gamma == (1, 2)
@@ -335,6 +337,29 @@ def test_flag_suites_read_their_spheres_from_the_warm_tables(monkeypatch):
     assert verify("flag-bier").ok
     assert verify("flag-murai").ok
     assert built == []
+
+
+def test_golod_reads_its_spheres_from_the_warm_tables(monkeypatch):
+    # the K-level tags are read beside the row's sphere, not off a rebuilt one
+    for m in (3, 4, 5):
+        census._bier_spheres(m)
+    built = _record_calls(monkeypatch, (census, "bier_sphere"), (duality, "bier_sphere"))
+    # only the builds are counted, so the verdicts need not be computed
+    monkeypatch.setattr(census, "golod_summary", lambda sphere, tag: (False, False))
+    verify("golod")
+    assert built == []
+
+
+def test_a_cold_census_command_builds_each_class_sphere_once(monkeypatch, tmp_path):
+    census._complex_classes.cache_clear()
+    census._bier_spheres.cache_clear()
+    built = _record_calls(
+        monkeypatch, (census, "bier_sphere"), (duality, "bier_sphere"), (cli, "bier_sphere")
+    )
+    out = tmp_path / "census.json"
+    assert cli.run(["census", "--m", "4", "--no-cache", "--out", str(out)]) == 0
+    assert len(json.loads(out.read_text())["records"]) == 28
+    assert built == [k for k, _sphere, _key in census._bier_spheres(4)]
 
 
 def test_golod_matches_each_sphere_class_against_the_truncations_once(monkeypatch):

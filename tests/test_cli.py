@@ -7,7 +7,7 @@ from pathlib import Path
 
 import pytest
 
-from bierlab import cli, complexes, jsonio, tor
+from bierlab import cli, complexes, duality, jsonio, tor
 from bierlab.cache import cache_put
 from bierlab.census import VerificationReport, enumerate_complexes
 from bierlab.cli import build_parser, main, run
@@ -221,6 +221,31 @@ def test_cubical_command(tmp_path):
     assert all(set(line.split()) <= {"-", "0", "+", "[-0]", "[0+]"} for line in payload["cells"])
 
 
+def test_a_classify_request_builds_one_bier_sphere(tmp_path, monkeypatch):
+    k = tmp_path / "k.json"
+    run(["complex", "--build", "points:3,3", "--out", str(k)])
+    built = []
+    for module in (cli, duality):
+        real = module.bier_sphere
+        monkeypatch.setattr(module, "bier_sphere", lambda x, real=real: built.append(x) or real(x))
+    assert run(["classify", "--in", str(k), "--out", str(tmp_path / "o.json"), "--no-cache"]) == 0
+    assert built == [points(3, 3)]
+
+
+def test_classify_refuses_after_one_pass_over_the_nonfaces_of_k(tmp_path, monkeypatch):
+    # cross-polytope:10 has 2^20 faces, just inside the bound, and its dual
+    # more; the Bier sphere refuses the dual's faces before classify_bier
+    # would compute the dual a second time
+    path = tmp_path / "k.json"
+    path.write_text(json.dumps(complex_to_dict(complexes.cross_polytope(10))))
+    passes = []
+    real = duality.minimal_nonfaces
+    monkeypatch.setattr(duality, "minimal_nonfaces", lambda k: passes.append(k) or real(k))
+    with pytest.raises(ResourceLimit, match=r"need <= 2\^20"):
+        run(["classify", "--in", str(path), "--no-cache"])
+    assert len(passes) == 1
+
+
 def test_census_command(tmp_path):
     out = tmp_path / "census.json"
     assert run(["census", "--m", "3", "--out", str(out)]) == 0
@@ -281,7 +306,7 @@ def test_a_field_that_is_not_prime_is_refused_before_any_work(tmp_path, monkeypa
     k = tmp_path / "k.json"
     run(["complex", "--build", "points:3,3", "--out", str(k)])
     monkeypatch.setattr(cli, "load_complex", no_work)
-    monkeypatch.setattr(cli.censusmod, "enumerate_complexes", no_work)
+    monkeypatch.setattr(cli.censusmod, "_bier_spheres", no_work)
     with pytest.raises(SystemExit) as exc:
         run([str(k) if a == "K" else a for a in argv] + ["--field", "4"])
     assert exc.value.code == 2
@@ -353,7 +378,7 @@ def test_jobs_below_one_are_refused_while_parsing(monkeypatch, capsys, value):
     def no_work(*args, **kwargs):
         raise AssertionError("work started before the refusal")
 
-    monkeypatch.setattr(cli.censusmod, "enumerate_complexes", no_work)
+    monkeypatch.setattr(cli.censusmod, "_bier_spheres", no_work)
     with pytest.raises(SystemExit) as exc:
         run(["census", "--m", "3", "--jobs", value])
     assert exc.value.code == 2
@@ -380,10 +405,15 @@ def test_jobs_below_one_are_refused_while_parsing(monkeypatch, capsys, value):
         (["complex", "--build", "cycle:100000"], "need each argument <= 64", (complexes, "cycle")),
         (["complex", "--build", "simplex:100000"], "need each argument <= 64",
          (complexes, "simplex")),
+        (["complex", "--build", "truncation-sphere:48,48"], "need m + cuts <= 64",
+         (complexes, "stellar_subdivision")),
+        (["complex", "--build", "truncation-sphere:64,64"], "need m + cuts <= 64",
+         (complexes, "stellar_subdivision")),
     ],
     ids=["dual", "bier", "classify", "faces", "murai", "murai-ideal", "cubical",
          "cubical-gw-grid", "cubical-gw-resolution", "census", "bier-json-m8000",
-         "cross-polytope-11", "cycle-100000", "simplex-100000"],
+         "cross-polytope-11", "cycle-100000", "simplex-100000", "truncation-sphere-48-48",
+         "truncation-sphere-64-64"],
 )
 def test_exponential_and_negative_inputs_exit_2_before_any_work(
     tmp_path, monkeypatch, capsys, argv, error, work

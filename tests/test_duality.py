@@ -40,6 +40,10 @@ def census(m):
     return enumerate_complexes(m, up_to_iso=True, include_simplex=False)
 
 
+def classify(k):
+    return classify_bier(k, drop_ghosts(bier_sphere(k)))
+
+
 def test_dual_of_path_is_single_point():
     k = make_complex(3, [[1, 2], [2, 3]])
     assert alexander_dual(k) == make_complex(3, [[2]])
@@ -164,15 +168,15 @@ def test_ghost_convention_cases_give_isomorphic_spheres():
 
 
 def test_classify_simplex():
-    cls = classify_bier(boundary_simplex(4))
+    cls = classify(boundary_simplex(4))
     assert cls.simplex and cls.tags == ("simplex",)
     # the void complex is the dual side of the same class
-    cls = classify_bier(Complex(4, (0,)))
+    cls = classify(Complex(4, (0,)))
     assert cls.simplex
 
 
 def test_classify_three_points_has_both_tags():
-    cls = classify_bier(points(3, 3))
+    cls = classify(points(3, 3))
     assert cls.golod_points == 3
     assert cls.flag_kind == FlagKind("cube_x_p6", 0)
     assert set(cls.tags) == {"golod-family(3)", "flag-family(cube_x_p6, n=0)"}
@@ -182,13 +186,13 @@ def test_classify_two_disjoint_edges():
     k = make_complex(4, [[1, 2], [3, 4]])
     dual = alexander_dual(k)
     assert is_flag(k) and is_flag(dual)
-    cls = classify_bier(k)
+    cls = classify(k)
     assert cls.flag and cls.flag_kind is not None
 
 
 def test_classify_requires_m_at_least_three():
     with pytest.raises(InvalidInput):
-        classify_bier(points(2, 2))
+        classify(points(2, 2))
 
 
 def test_reference_families_are_flag_spheres():
@@ -238,7 +242,7 @@ def test_edge_plus_ghost_is_a_truncation_nerve_outside_the_points_family():
     for tag in (QQ, GF2):
         assert golod_summary(sphere, tag) == (False, True)
     # minimally non-Golod, yet neither K nor its dual is a set of points
-    assert classify_bier(k).golod_points is None
+    assert classify_bier(k, sphere).golod_points is None
 
 
 def test_match_truncation_family():
