@@ -50,8 +50,7 @@ def characteristic(text: str) -> FieldTag:
 
 
 def positive_int(text: str) -> int:
-    """``--sample`` and ``--jobs``: refused while parsing, before any work,
-    unless at least 1."""
+    """``--jobs``: refused while parsing, before any work, unless at least 1."""
     n = int(text)
     if n < 1:
         raise argparse.ArgumentTypeError(f"must be at least 1, got {n}")
@@ -64,9 +63,6 @@ OPTIONS = {
     "--m": dict(type=int, required=True),
     "--suite": dict(required=True,
                     help="suite name or 'all': " + ", ".join(sorted(censusmod.SUITES))),
-    "--sample": dict(type=positive_int, default=None,
-                     help="golod suite only: check at most this many Bier spheres per m, "
-                          "drawn with --seed (flagged in its report)"),
     "--oracle": dict(action="store_true", help="also run the Koszul oracle and cross-check"),
     "--boundary": dict(action="store_true", help="emit the boundary cells"),
     "--homology": dict(action="store_true", help="reduced homology ranks"),
@@ -75,7 +71,7 @@ OPTIONS = {
     "--field": dict(type=characteristic, default=QQ,
                     help="coefficient field characteristic (0 = rationals)"),
     "--jobs": dict(type=positive_int, default=1, help="worker processes for census"),
-    "--seed": dict(type=int, default=0, help="seed for randomized checks"),
+    "--seed": dict(type=int, default=0, help="seed for the random points of --gw"),
     "--out": dict(help="write the JSON result here instead of stdout"),
     "--cache-dir": dict(help="result cache directory (default: $BIERLAB_CACHE)"),
     "--no-cache": dict(action="store_true", help="disable the cache"),
@@ -251,7 +247,7 @@ def _census(args):
 
 def _verify(args):
     names = sorted(censusmod.SUITES) if args.suite == "all" else [args.suite]
-    reports = [censusmod.verify(n, seed=args.seed, sample=args.sample) for n in names]
+    reports = [censusmod.verify(n) for n in names]
     return {"reports": [r.to_dict() for r in reports]}
 
 
@@ -284,7 +280,7 @@ COMMANDS = {
     "census": Command("classified census of Bier spheres on [m]", _census,
                       ("--m", "--field", "--jobs")),
     # exit 1 when a report has counterexamples
-    "verify": Command("run a verification suite", _verify, ("--suite", "--sample", "--seed"),
+    "verify": Command("run a verification suite", _verify, ("--suite",),
                       lambda payload: int(any(r["counterexamples"] for r in payload["reports"]))),
 }
 

@@ -29,7 +29,7 @@ from .complexes import (
     subset_of,
     truncation_sphere,
 )
-from .errors import InvalidInput, UndefinedDual
+from .errors import InvalidInput, ResourceLimit, UndefinedDual
 
 
 def alexander_dual(k: Complex) -> Complex:
@@ -45,18 +45,26 @@ def alexander_dual(k: Complex) -> Complex:
     return Complex(k.m, tuple(sorted(full ^ s for s in nonfaces)))
 
 
+# The Complex constructor checks its facets pairwise: cross-polytope:7
+# (10,206 Bier facets) takes about 9 s there, and cross-polytope:8 (34,992)
+# does not finish in a minute.
+MAX_BIER_FACETS = 1 << 14
+
+
 def bier_sphere(k: Complex, brute: bool = False) -> Complex:
     """Deleted join of ``k`` and its dual, on [2m]; dimension m - 2.
 
     Facets are generated directly as partitions A + {b} + C of [m] with A a
-    face and C a dual face; ``brute=True`` instead filters all deleted-join
-    faces for maximality and is kept as the verification oracle.
+    face: C = [m] - A - b is a dual face iff A + {b} is not a face of ``k``,
+    so the dual is never built.  More than ``MAX_BIER_FACETS`` facets raise
+    ``ResourceLimit``.  ``brute=True`` instead filters all deleted-join
+    faces with the dual for maximality and is kept as the verification
+    oracle.
     """
-    dual = alexander_dual(k)
     m = k.m
     faces_k = faces(k)
-    faces_dual = faces(dual)
     if brute:
+        faces_dual = faces(alexander_dual(k))
         gens = [
             a | (c << m)
             for a in faces_k
@@ -65,6 +73,8 @@ def bier_sphere(k: Complex, brute: bool = False) -> Complex:
         ]
         return Complex.from_masks(2 * m, gens)
     full = k.full_mask
+    if full in faces_k:
+        raise UndefinedDual("the full simplex has no Alexander dual")
     gens = []
     for a in faces_k:
         rest = full ^ a
@@ -72,12 +82,11 @@ def bier_sphere(k: Complex, brute: bool = False) -> Complex:
         while bb:
             b = bb & -bb
             bb ^= b
-            c = rest ^ b
-            if c in faces_dual:
-                gens.append(a | (c << m))
-    if not gens:
-        gens = [0]
-    return Complex(2 * m, tuple(sorted(set(gens))))
+            if a | b not in faces_k:
+                gens.append(a | ((rest ^ b) << m))
+        if len(gens) > MAX_BIER_FACETS:
+            raise ResourceLimit("bier_sphere: need <= 2^14 facets")
+    return Complex(2 * m, tuple(sorted(gens)))
 
 
 def bier_minimal_nonfaces(k: Complex) -> list[int]:
@@ -206,12 +215,18 @@ def match_truncation_family(sphere: Complex) -> int | None:
     return cuts
 
 
-def _points_count(k: Complex) -> int | None:
-    """Number of points if every facet is a single vertex, else None."""
-    if k.facets == (0,):
-        return None
-    if all(f.bit_count() == 1 for f in k.facets):
-        return len(k.facets)
+def k_truncation_cuts(k: Complex) -> int | None:
+    """The K-level truncation family (m >= 3, k not the full simplex): 0
+    when k or its dual is the boundary of the full simplex, l when k or its
+    dual is l disjoint points (ghosts allowed), else None."""
+    if k.m < 3:
+        raise InvalidInput("classification needs m >= 3")
+    dual = alexander_dual(k)
+    if boundary_simplex(k.m) in (k, dual):
+        return 0
+    for c in (k, dual):
+        if c.dim == 0:
+            return len(c.facets)
     return None
 
 
@@ -230,13 +245,7 @@ def classify_bier(k: Complex, sphere: Complex) -> BierClassification:
     * flag-family(kind): ``sphere`` is flag; the kind is found by
       isomorphism against the four reference families.
     """
-    if k.m < 3:
-        raise InvalidInput("classification needs m >= 3")
-    dual = alexander_dual(k)
-    simplex = k == boundary_simplex(k.m) or dual == boundary_simplex(k.m)
-    pts = _points_count(k)
-    if pts is None:
-        pts = _points_count(dual)
+    cuts = k_truncation_cuts(k)
     flag = is_flag(sphere)
     kind = match_flag_family(sphere) if flag else None
-    return BierClassification(simplex, pts, flag, kind)
+    return BierClassification(cuts == 0, cuts or None, flag, kind)

@@ -143,10 +143,11 @@ def test_report_invariant():
     assert r.pass_count + len(r.counterexamples) == r.instance_count
 
 
-def test_golod_suite_sampling_is_flagged():
-    r = verify("golod", seed=3, sample=2)
-    assert r.details["coverage"] == "sampled"
-    assert r.instance_count <= 6
+def _first_bier_rows(monkeypatch, n):
+    """Cut each ``_bier_spheres(m)`` table to its first n rows, so a golod
+    run checks 3n spheres."""
+    real = census._bier_spheres
+    monkeypatch.setattr(census, "_bier_spheres", lambda m: real(m)[:n])
 
 
 def test_golod_suite_reports_wrong_verdicts(monkeypatch):
@@ -157,7 +158,8 @@ def test_golod_suite_reports_wrong_verdicts(monkeypatch):
         census, "golod_summary",
         lambda sphere, tag: tuple(not v for v in real(sphere, tag)),
     )
-    r = verify("golod", sample=2)
+    _first_bier_rows(monkeypatch, 2)
+    r = verify("golod")
     assert r.instance_count == 6
     assert r.pass_count == 0 and len(r.counterexamples) == r.instance_count
 
@@ -218,7 +220,8 @@ def test_warm_bier_tables_are_not_canonicalized_again(monkeypatch):
     }
     seen = _record_canonical_forms(monkeypatch)
     assert verify("bier-13types").ok
-    assert verify("golod", sample=3).ok
+    _first_bier_rows(monkeypatch, 3)
+    assert verify("golod").ok
     assert not census_spheres.intersection(seen)
 
 
@@ -340,14 +343,20 @@ def test_flag_suites_read_their_spheres_from_the_warm_tables(monkeypatch):
 
 
 def test_golod_reads_its_spheres_from_the_warm_tables(monkeypatch):
-    # the K-level tags are read beside the row's sphere, not off a rebuilt one
+    # the K-level family is read beside the row's sphere, not off a rebuilt
+    # one, and the sphere's flag family, which the suite does not read, is
+    # not matched
     for m in (3, 4, 5):
         census._bier_spheres(m)
-    built = _record_calls(monkeypatch, (census, "bier_sphere"), (duality, "bier_sphere"))
-    # only the builds are counted, so the verdicts need not be computed
+    work = _record_calls(
+        monkeypatch,
+        (census, "bier_sphere"), (duality, "bier_sphere"),
+        (census, "match_flag_family"), (duality, "match_flag_family"),
+    )
+    # only builds and matches are counted, so the verdicts need not be computed
     monkeypatch.setattr(census, "golod_summary", lambda sphere, tag: (False, False))
     verify("golod")
-    assert built == []
+    assert work == []
 
 
 def test_a_cold_census_command_builds_each_class_sphere_once(monkeypatch, tmp_path):
@@ -371,13 +380,3 @@ def test_golod_matches_each_sphere_class_against_the_truncations_once(monkeypatc
     monkeypatch.setattr(census, "golod_summary", lambda sphere, tag: (False, False))
     verify("golod")
     assert sorted(key_of[id(s)] for s in matched) == sorted(set(key_of.values()))
-
-
-@pytest.mark.parametrize("sample", [0, -1])
-def test_verify_refuses_a_sample_below_one_before_any_work(monkeypatch, sample):
-    def no_work(*args, **kwargs):
-        raise AssertionError("work started before the refusal")
-
-    monkeypatch.setitem(census.SUITES, "golod", no_work)
-    with pytest.raises(InvalidInput, match=f"sample size must be at least 1, got {sample}"):
-        census.verify("golod", sample=sample)

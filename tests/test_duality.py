@@ -87,7 +87,7 @@ def test_bier_of_point_and_segment_is_a_pentagon():
 
 
 def test_bier_dimension_and_facet_criterion_on_census():
-    for m in range(1, 5):
+    for m in range(1, 6):
         for k in census(m):
             b = bier_sphere(k)
             assert b.dim == m - 2
