@@ -45,6 +45,7 @@ from .multicomplexes import (
     _box,
     _divides,
     bier_relabeling_to_murai,
+    c_dual,
     multicomplex_of_complex,
     murai_face_ideal,
     murai_sphere,
@@ -94,7 +95,8 @@ def all_labeled_complexes(m: int, include_simplex: bool = True) -> list[Complex]
         raise ResourceLimit("labeled enumeration is doubly exponential; need m <= 5")
     simplex = ((1 << m) - 1,)
     chains = (chain or (0,) for chain in _antichains(range(1, 1 << m), subset_of))
-    return [Complex(m, facets) for facets in chains if include_simplex or facets != simplex]
+    return [Complex.from_antichain(m, facets) for facets in chains
+            if include_simplex or facets != simplex]
 
 
 def _box_positions(c: tuple[int, ...]) -> dict[tuple[int, ...], int]:
@@ -103,6 +105,20 @@ def _box_positions(c: tuple[int, ...]) -> dict[tuple[int, ...], int]:
     position is the mask of its support."""
     box = itertools.product(*(range(x + 1) for x in reversed(c)))
     return {a[::-1]: i for i, a in enumerate(box)}
+
+
+@lru_cache(maxsize=None)
+def _relabelings(c: tuple[int, ...]) -> tuple[tuple[tuple[int, ...], tuple[int, ...]], ...]:
+    """(image caps, table) for each variable permutation: it carries the
+    vector at position p of the box of caps c to position table[p] of the
+    box of the image caps."""
+    at = _box_positions(c)
+    out = []
+    for perm in itertools.permutations(range(len(c))):
+        image = tuple(c[i] for i in perm)
+        image_at = _box_positions(image)
+        out.append((image, tuple(image_at[tuple(a[i] for i in perm)] for a in at)))
+    return tuple(out)
 
 
 def _orbit_classes(c, members, form_of, marks: dict) -> dict[tuple, list]:
@@ -116,13 +132,7 @@ def _orbit_classes(c, members, form_of, marks: dict) -> dict[tuple, list]:
     each permutation is marked with the form, in the marks of the image's
     caps, and each later member of the orbit finds and removes its mark
     (McKay, Isomorph-free exhaustive generation, 1998)."""
-    at = _box_positions(c)
-    relabelings = []
-    for perm in itertools.permutations(range(len(c))):
-        image = tuple(c[i] for i in perm)
-        image_at = _box_positions(image)
-        table = [image_at[tuple(a[i] for i in perm)] for a in at]
-        relabelings.append((marks.setdefault(image, {}), table))
+    relabelings = [(marks.setdefault(image, {}), table) for image, table in _relabelings(c)]
     own = marks[c]
     classes: dict[tuple, list] = {}
     for x, positions in members:
@@ -157,7 +167,8 @@ def enumerate_complexes(
     forms = list(_complex_classes(m))
     if include_simplex:
         forms.append((m, ((1 << m) - 1,)))
-    return [Complex(*form) for form in sorted(forms, key=lambda form: format_key(*form))]
+    forms.sort(key=lambda form: format_key(*form))
+    return [Complex.from_antichain(*form) for form in forms]
 
 
 def enumerate_multicomplexes(c) -> list[Multicomplex]:
@@ -403,17 +414,34 @@ def _murai_spheres(total: int):
     A variable permutation carries a multicomplex onto one with permuted
     caps, and its Murai sphere onto the other's by permuting the level
     blocks.  So a row whose sorted caps and form match an earlier row's
-    takes that row's sphere and key, and only the first row of each such
-    orbit builds and canonicalizes a sphere."""
+    takes that row's sphere and key.
+
+    The level reversal j -> c_i - j carries the sphere of M onto the
+    sphere of its c-dual (Murai 2011), so dual orbits come in pairs.  The
+    first row of a new orbit, whose caps c are sorted, builds and keys its
+    sphere and marks every relabeling of ``c_dual`` of its multicomplex
+    that keeps caps c, by its code in the box of c as ``_orbit_classes``
+    codes members.  The first row of the dual orbit finds its mark and
+    builds nothing, so each dual pair builds one sphere."""
     first: dict[str, tuple[Complex, str]] = {}
     by_orbit: dict[tuple, tuple[Complex, str]] = {}
+    duals: dict[tuple, dict[int, tuple]] = {}  # caps -> {code: (sphere, key)}
     rows = []
     for caps, m, multiplicity, form in _murai_census(total):
         orbit = (tuple(sorted(caps)), form)
         if orbit not in by_orbit:
-            sphere = drop_ghosts(murai_sphere(m))
-            key = canonical_key(sphere)
-            by_orbit[orbit] = first.setdefault(key, (sphere, key))
+            at = _box_positions(caps)
+            marks = duals.setdefault(caps, {})
+            shared = marks.pop(sum(1 << at[a] for a in m.max_monomials), None)
+            if shared is None:
+                sphere = drop_ghosts(murai_sphere(m))
+                key = canonical_key(sphere)
+                shared = first.setdefault(key, (sphere, key))
+                positions = [at[a] for a in c_dual(m).max_monomials]
+                for image, table in _relabelings(caps):
+                    if image == caps:
+                        marks[sum(1 << table[p] for p in positions)] = shared
+            by_orbit[orbit] = shared
         rows.append((caps, m, multiplicity) + by_orbit[orbit])
     return tuple(rows)
 

@@ -86,29 +86,51 @@ def check_antichain(items, below, message: str) -> None:
 # the complex type
 
 
+def _check_ground(m: int, facets) -> None:
+    """Refuse a negative ground-set size, an empty or non-tuple facet list,
+    and a facet with a vertex outside [m]."""
+    if m < 0:
+        raise InvalidInput("ground-set size must be nonnegative")
+    if not isinstance(facets, tuple) or not facets:
+        raise InvalidInput("facets must be a nonempty tuple (use (0,) for the void complex)")
+    full = (1 << m) - 1
+    for f in facets:
+        if f & ~full:
+            raise InvalidInput(f"facet {bin(f)} has a vertex beyond ground set [{m}]")
+
+
 @dataclass(frozen=True)
 class Complex:
-    """Ground-set size plus the facet antichain."""
+    """Ground-set size plus the facet antichain.
+
+    ``Complex(m, facets)`` checks everything: the ground set, the ascending
+    order and, pairwise, the antichain.  ``from_antichain`` checks only the
+    ground set, for facets their builder already made a sorted antichain;
+    ``from_masks`` reduces any masks to one with ``maximal`` and takes that
+    path."""
 
     m: int
     facets: tuple[int, ...]
 
     def __post_init__(self):
-        if self.m < 0:
-            raise InvalidInput("ground-set size must be nonnegative")
-        if not isinstance(self.facets, tuple) or not self.facets:
-            raise InvalidInput("facets must be a nonempty tuple (use (0,) for the void complex)")
-        full = (1 << self.m) - 1
-        for f in self.facets:
-            if f & ~full:
-                raise InvalidInput(f"facet {bin(f)} has a vertex beyond ground set [{self.m}]")
+        _check_ground(self.m, self.facets)
         if self.facets != tuple(sorted(self.facets)):
             raise InvalidInput("facets must be sorted ascending")
         check_antichain(self.facets, subset_of, "facets must form an inclusion antichain")
 
     @classmethod
+    def from_antichain(cls, m: int, facets: tuple[int, ...]) -> "Complex":
+        """The complex of ``facets``, which must already be an ascending
+        inclusion antichain; only the ground set is checked."""
+        _check_ground(m, facets)
+        k = object.__new__(cls)
+        object.__setattr__(k, "m", m)
+        object.__setattr__(k, "facets", facets)
+        return k
+
+    @classmethod
     def from_masks(cls, m: int, masks) -> "Complex":
-        return cls(m, maximal(masks, subset_of) or (0,))
+        return cls.from_antichain(m, maximal(masks, subset_of) or (0,))
 
     @property
     def dim(self) -> int:
@@ -240,11 +262,16 @@ def deletion(k: Complex, v: int) -> Complex:
 
 
 def drop_ghosts(k: Complex) -> Complex:
-    """Full subcomplex on the actual vertex set (ghost ground elements removed)."""
+    """Full subcomplex on the actual vertex set (ghost ground elements
+    removed); ``k`` itself when it has no ghost.  Compressing facets to
+    the vertex set keeps them distinct, ascending and an antichain."""
     verts = 0
     for f in k.facets:
         verts |= f
-    return full_subcomplex(k, verts)
+    if verts == k.full_mask:
+        return k
+    facets = tuple([compress_mask(f, verts) for f in k.facets])
+    return Complex.from_antichain(verts.bit_count(), facets)
 
 
 # ---------------------------------------------------------------------------

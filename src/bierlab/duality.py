@@ -42,12 +42,14 @@ def alexander_dual(k: Complex) -> Complex:
     if not nonfaces:
         raise UndefinedDual("the full simplex has no Alexander dual")
     full = k.full_mask
-    return Complex(k.m, tuple(sorted(full ^ s for s in nonfaces)))
+    # complements of an antichain are one
+    return Complex.from_antichain(k.m, tuple(sorted(full ^ s for s in nonfaces)))
 
 
-# The Complex constructor checks its facets pairwise: cross-polytope:7
-# (10,206 Bier facets) takes about 9 s there, and cross-polytope:8 (34,992)
-# does not finish in a minute.
+# Listing the facets is cheap; using them is not.  ``faces`` already
+# refuses the 84 M subsets of cross-polytope:7's 10,206 facets, and without
+# this bound ``bier`` on cross-polytope:10 (393,660 facets) writes 78 MB of
+# JSON in about 12 s.  The census's largest Bier sphere has 30 facets.
 MAX_BIER_FACETS = 1 << 14
 
 
@@ -86,7 +88,8 @@ def bier_sphere(k: Complex, brute: bool = False) -> Complex:
                 gens.append(a | ((rest ^ b) << m))
         if len(gens) > MAX_BIER_FACETS:
             raise ResourceLimit("bier_sphere: need <= 2^14 facets")
-    return Complex(2 * m, tuple(sorted(gens)))
+    # distinct facets of m - 1 vertices each are an antichain
+    return Complex.from_antichain(2 * m, tuple(sorted(gens)))
 
 
 def bier_minimal_nonfaces(k: Complex) -> list[int]:

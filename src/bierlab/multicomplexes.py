@@ -99,9 +99,16 @@ def is_full(m: Multicomplex) -> bool:
 
 def minimal_nonmembers(m: Multicomplex) -> list[tuple[int, ...]]:
     """Divisibility-minimal monomials outside the multicomplex: exactly the
-    minimal generating set of the ideal of non-members.  Empty iff full."""
-    outside = [a for a in _box(m.c) if not m.contains(a)]
-    return sorted(_minimalize(outside), key=lambda a: (sum(a), a))
+    minimal generating set of the ideal of non-members, in the graded box
+    order.  Empty iff full.  Members are closed under division, so a
+    non-member is minimal iff lowering any one exponent gives a member."""
+    inside = set(m.members())
+    return [
+        a
+        for a in _box(m.c)
+        if a not in inside
+        and all(a[:i] + (x - 1,) + a[i + 1:] in inside for i, x in enumerate(a) if x)
+    ]
 
 
 def c_dual(m: Multicomplex) -> Multicomplex:
@@ -239,14 +246,15 @@ def murai_sphere(m: Multicomplex) -> Complex:
     n = offs[-1]
     full = (1 << n) - 1
     gens = []
-    for a in m.members():
+    members = m.members()
+    inside = set(members)
+    for a in members:
         removed = 0
         for i, e in enumerate(a):
             removed |= 1 << (offs[i] + e)
         for i, e in enumerate(a):
             for j in range(e + 1, c[i] + 1):
-                bumped = a[:i] + (j,) + a[i + 1:]
-                if not m.contains(bumped):
+                if a[:i] + (j,) + a[i + 1:] not in inside:
                     gens.append(full ^ removed ^ (1 << (offs[i] + j)))
     assert len(gens) == len(set(gens))
     sphere = Complex.from_masks(n, gens)

@@ -1,6 +1,8 @@
+import functools
 import itertools
 import json
 import math
+import operator
 
 import pytest
 
@@ -15,15 +17,25 @@ from bierlab.census import (
     verify,
 )
 from bierlab.complexes import (
+    Isomorphism,
     canonical_key,
     drop_ghosts,
+    full_subcomplex,
     make_complex,
+    maps_facets_onto,
     mask_of,
     points,
     vertices_of,
 )
+from bierlab.duality import bier_sphere
 from bierlab.errors import InvalidInput, ResourceLimit
-from bierlab.multicomplexes import make_multicomplex, multicomplex_of_complex, murai_sphere
+from bierlab.multicomplexes import (
+    block_offsets,
+    c_dual,
+    make_multicomplex,
+    multicomplex_of_complex,
+    murai_sphere,
+)
 from bierlab.tor import QQ
 
 
@@ -254,8 +266,9 @@ def test_murai_census_builds_one_sphere_per_permutation_orbit(monkeypatch):
 
     monkeypatch.setattr(census, "murai_sphere", recording)
     assert len(census._murai_spheres(4)) == len(rows) == 169
-    # one sphere per row whose caps are sorted; the other rows reuse them
-    assert len(built) == 90
+    # one sphere per pair of c-dual orbits among the 90 rows whose caps are
+    # sorted; the other rows reuse them
+    assert len(built) == 50
     assert all(list(m.c) == sorted(m.c) for m in built)
 
 
@@ -296,6 +309,42 @@ def test_reused_murai_spheres_match_their_own_keys():
     for total in (1, 2, 3, 4, 5):
         for _caps, m, _n, _sphere, key in census._murai_spheres(total):
             assert canonical_key(drop_ghosts(murai_sphere(m))) == key, m
+
+
+def _orbit_representatives(total: int) -> list:
+    """The first ``_murai_census(total)`` row of each (sorted caps, form)
+    orbit, the rows ``_murai_spheres`` may build a sphere for."""
+    seen = set()
+    out = []
+    for caps, m, _n, form in census._murai_census(total):
+        if (tuple(sorted(caps)), form) not in seen:
+            seen.add((tuple(sorted(caps)), form))
+            out.append(m)
+    return out
+
+
+def test_level_reversal_carries_each_murai_sphere_onto_its_dual_sphere():
+    # _murai_spheres lets the first row of each c-dual orbit take the
+    # sphere its partner built, which rests on this isomorphism
+    checked = 0
+    for total in (1, 2, 3, 4, 5):
+        for m in _orbit_representatives(total):
+            c = m.c
+            offsets = block_offsets(c)
+            reversal = Isomorphism(
+                tuple(offsets[i] + c[i] - j + 1 for i in range(len(c)) for j in range(c[i] + 1))
+            )
+            assert maps_facets_onto(reversal, murai_sphere(m), murai_sphere(c_dual(m))), m
+            checked += 1
+    assert checked == 796
+
+
+def test_drop_ghosts_is_the_full_subcomplex_on_the_vertex_set_of_census_spheres():
+    raw = [bier_sphere(k) for m in (3, 4, 5) for k, _sphere, _key in census._bier_spheres(m)]
+    raw += [murai_sphere(m) for total in (1, 2, 3, 4, 5) for m in _orbit_representatives(total)]
+    for sphere in raw:
+        verts = functools.reduce(operator.or_, sphere.facets)
+        assert drop_ghosts(sphere) == full_subcomplex(sphere, verts), sphere
 
 
 def test_bier_rows_key_like_their_unit_caps_murai_rows():

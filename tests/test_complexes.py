@@ -1,7 +1,10 @@
+import functools
 import itertools
+import operator
 
 import pytest
 
+from bierlab.census import all_labeled_complexes
 from bierlab.complexes import (
     Complex,
     are_isomorphic,
@@ -12,6 +15,7 @@ from bierlab.complexes import (
     cross_polytope,
     cycle,
     deletion,
+    drop_ghosts,
     euler_characteristic,
     f_vector_counts,
     faces,
@@ -68,6 +72,25 @@ def test_make_complex_rejects_out_of_range_generator():
 def test_facets_must_be_antichain():
     with pytest.raises(InvalidInput):
         Complex(3, (0b001, 0b011))
+
+
+def test_from_antichain_checks_the_ground_set():
+    assert Complex.from_antichain(3, (0b011, 0b110)) == Complex(3, (0b011, 0b110))
+    with pytest.raises(InvalidInput, match="beyond ground set"):
+        Complex.from_antichain(2, (0b001, 0b100))
+
+
+def test_drop_ghosts_returns_a_ghost_free_complex_itself():
+    for k in (cycle(5), cross_polytope(3), Complex(0, (0,))):
+        assert drop_ghosts(k) is k
+    assert drop_ghosts(points(2, 4)) == points(2, 2)
+
+
+def test_drop_ghosts_is_the_full_subcomplex_on_the_vertex_set():
+    for m in range(5):
+        for k in all_labeled_complexes(m):
+            verts = functools.reduce(operator.or_, k.facets)
+            assert drop_ghosts(k) == full_subcomplex(k, verts), k
 
 
 def test_has_face():

@@ -1,5 +1,6 @@
 import pytest
 
+from bierlab import complexes
 from bierlab.census import enumerate_complexes
 from bierlab.complexes import (
     Complex,
@@ -97,6 +98,17 @@ def test_bier_dimension_and_facet_criterion_on_census():
                     left = facet & k.full_mask
                     right = facet >> m
                     assert left.bit_count() + right.bit_count() == m - 1
+
+
+def test_bier_sphere_makes_no_pairwise_facet_check(monkeypatch):
+    # its facets are distinct and all have m - 1 vertices, so they are an
+    # antichain; the pairwise check took about 10 s on these 10,206
+    k = cross_polytope(7)
+    checked = []
+    monkeypatch.setattr(complexes, "check_antichain", lambda *args: checked.append(args))
+    sphere = bier_sphere(k)
+    assert len(sphere.facets) == 10206 and sphere.dim == 12
+    assert checked == []
 
 
 def test_bier_minimal_nonfaces_of_three_points():

@@ -1,3 +1,5 @@
+import itertools
+
 import pytest
 
 from bierlab.census import compositions, enumerate_multicomplexes
@@ -10,6 +12,7 @@ from bierlab.complexes import (
     is_flag,
     make_complex,
     mask_of,
+    maximal,
     minimal_nonfaces,
 )
 from bierlab.duality import FlagKind, bier_sphere, match_flag_family
@@ -57,6 +60,21 @@ def test_minimal_nonmembers():
     assert minimal_nonmembers(mc((1, 1, 1), [(1, 0, 0)])) == [(0, 0, 1), (0, 1, 0)]
     assert minimal_nonmembers(mc((3,), [(1,)])) == [(2,)]
     assert minimal_nonmembers(mc((2,), [(2,)])) == []
+
+
+def test_minimal_nonmembers_match_minimalizing_every_nonmember():
+    # the oracle tests divisibility among all non-members pairwise
+    def divides(a, b):
+        return all(x <= y for x, y in zip(a, b))
+
+    for total in (1, 2, 3, 4):
+        for caps in compositions(total):
+            for m in enumerate_multicomplexes(caps) + [mc(caps, [caps])]:
+                box = itertools.product(*(range(ci + 1) for ci in caps))
+                outside = [a for a in box if not m.contains(a)]
+                expected = sorted(maximal(outside, lambda a, b: divides(b, a)),
+                                  key=lambda a: (sum(a), a))
+                assert minimal_nonmembers(m) == expected, m
 
 
 def test_c_dual_examples():
