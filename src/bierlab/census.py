@@ -72,19 +72,21 @@ def _antichains(items, below):
     as a tuple in list order.  ``below(a, b)`` means a <= b in the poset.
 
     ``items`` must list the poset in a linear extension (a < b puts a
-    first), so a new item can only lie above an earlier one and testing
-    ``below(chosen, new)`` suffices.
+    first), so a new item can only lie above an earlier one: ``down[i]``
+    masks the earlier items below item i, and item i may join the chosen
+    ones iff it meets none of them.  The tuples are antichains by
+    construction, which ``Complex.from_antichain`` and
+    ``Multicomplex.from_antichain`` then check no further.
     """
+    down = [sum(1 << j for j in range(i) if below(items[j], x)) for i, x in enumerate(items)]
 
-    def rec(start: int, chosen: tuple):
+    def rec(start: int, chosen: tuple, mask: int):
         yield chosen
         for i in range(start, len(items)):
-            x = items[i]
-            if any(below(c, x) for c in chosen):
-                continue
-            yield from rec(i + 1, chosen + (x,))
+            if not down[i] & mask:
+                yield from rec(i + 1, chosen + (items[i],), mask | 1 << i)
 
-    yield from rec(0, ())
+    yield from rec(0, (), 0)
 
 
 def all_labeled_complexes(m: int, include_simplex: bool = True) -> list[Complex]:
@@ -174,10 +176,12 @@ def enumerate_complexes(
 def enumerate_multicomplexes(c) -> list[Multicomplex]:
     """Every proper multicomplex with the given caps, exactly once."""
     c = tuple(c)
+    if not c or any(x < 1 for x in c):
+        raise InvalidInput("cap vector entries must be positive")
     if sum(c) > 5:
         raise ResourceLimit("multicomplex enumeration needs |c| <= 5")
     return [
-        Multicomplex(c, tuple(sorted(chosen)))
+        Multicomplex.from_antichain(c, tuple(sorted(chosen)))
         for chosen in _antichains(_box(c), _divides)
         if chosen and chosen != (c,)
     ]
@@ -220,7 +224,8 @@ def multicomplex_canonical_key(m: Multicomplex) -> tuple:
     facets += [below(a) | 1 << (levels + n + t) for t, a in enumerate(m.max_monomials)]
     colors = [j for ci in m.c for j in range(1, ci + 1)]
     colors += [0] * n + [-1] * len(m.max_monomials)
-    k = Complex.from_masks(len(colors), facets)
+    # each facet has a marker vertex of its own, so they form an antichain
+    k = Complex.from_antichain(len(colors), tuple(sorted(facets)))
     return (m.c, canonical_labeling(k, colors)[0])
 
 

@@ -349,12 +349,17 @@ def _refine(colors, facet_verts, vertex_facets) -> list[int]:
     incidence.  A facet's color is the multiset of its vertices' colors; a
     vertex's signature is its color plus the multiset of its facets'
     colors.  New colors are ranks of the sorted signatures, so they never
-    depend on the labels, and cells keep their relative order."""
+    depend on the labels, and cells keep their relative order.  A discrete
+    ``colors`` is already equitable, and the loop would return the ranks of
+    its colors."""
     cells = len(set(colors))
+    if cells == len(colors):
+        rank = {c: i for i, c in enumerate(sorted(colors))}
+        return [rank[c] for c in colors]
     while True:
-        fcol = [tuple(sorted(colors[v] for v in vs)) for vs in facet_verts]
+        fcol = [tuple(sorted(map(colors.__getitem__, vs))) for vs in facet_verts]
         sigs = [
-            (colors[v], tuple(sorted(fcol[f] for f in fs)))
+            (colors[v], tuple(sorted(map(fcol.__getitem__, fs))))
             for v, fs in enumerate(vertex_facets)
         ]
         rank = {s: i for i, s in enumerate(sorted(set(sigs)))}

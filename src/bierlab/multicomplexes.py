@@ -13,6 +13,7 @@ from __future__ import annotations
 import itertools
 import math
 from dataclasses import dataclass
+from functools import lru_cache
 
 from .complexes import Complex, check_antichain, maximal
 from .errors import InvalidInput, ResourceLimit, UndefinedDual
@@ -38,7 +39,13 @@ def _check_exponents(a: tuple[int, ...], c: tuple[int, ...]) -> None:
 
 @dataclass(frozen=True)
 class Multicomplex:
-    """Cap vector plus the divisibility-maximal monomials (an antichain)."""
+    """Cap vector plus the divisibility-maximal monomials (an antichain).
+
+    ``Multicomplex(c, max_monomials)`` checks everything: positive caps, a
+    nonempty list, each exponent vector against the caps, the ascending
+    order and, pairwise, the antichain.  ``from_antichain`` checks nothing,
+    for monomials their builder already made a sorted antichain within caps
+    it checked once."""
 
     c: tuple[int, ...]
     max_monomials: tuple[tuple[int, ...], ...]
@@ -55,6 +62,15 @@ class Multicomplex:
         if self.max_monomials != tuple(sorted(self.max_monomials)):
             raise InvalidInput("maximal monomials must be sorted")
 
+    @classmethod
+    def from_antichain(cls, c: tuple[int, ...], max_monomials) -> "Multicomplex":
+        """The multicomplex of ``max_monomials``, which must already be a
+        nonempty ascending antichain within the positive caps ``c``."""
+        m = object.__new__(cls)
+        object.__setattr__(m, "c", c)
+        object.__setattr__(m, "max_monomials", max_monomials)
+        return m
+
     @property
     def nvars(self) -> int:
         return len(self.c)
@@ -64,24 +80,23 @@ class Multicomplex:
         return any(_divides(a, g) for g in self.max_monomials)
 
     def members(self) -> list[tuple[int, ...]]:
-        """All monomials of the multicomplex, in the graded box order."""
-        out = [
-            a
-            for a in _box(self.c)
-            if any(_divides(a, g) for g in self.max_monomials)
-        ]
-        return out
+        """All monomials of the multicomplex, in the graded box order: the
+        union of the boxes below the maximal monomials."""
+        inside = set()
+        for g in self.max_monomials:
+            inside.update(itertools.product(*(range(x + 1) for x in g)))
+        return [a for a in _box(self.c) if a in inside]
 
 
-def _box(c: tuple[int, ...]) -> list[tuple[int, ...]]:
+@lru_cache(maxsize=None)
+def _box(c: tuple[int, ...]) -> tuple[tuple[int, ...], ...]:
     """All exponent vectors bounded by c, sorted by (degree, tuple)."""
     # far above the suites, tests and benchmark, which reach 32 vectors
     # (the census's caps have |c| <= 5)
     if math.prod(ci + 1 for ci in c) > 10**5:
         raise ResourceLimit("the caps bound prod(c_i + 1) exponent vectors; need <= 10^5")
-    vecs = list(itertools.product(*(range(ci + 1) for ci in c)))
-    vecs.sort(key=lambda a: (sum(a), a))
-    return vecs
+    return tuple(sorted(itertools.product(*(range(ci + 1) for ci in c)),
+                        key=lambda a: (sum(a), a)))
 
 
 def make_multicomplex(c, gens) -> Multicomplex:
@@ -113,12 +128,14 @@ def minimal_nonmembers(m: Multicomplex) -> list[tuple[int, ...]]:
 
 def c_dual(m: Multicomplex) -> Multicomplex:
     """Alexander dual w.r.t. the caps: maximal monomials are the
-    complements c - g of the minimal non-members g.  An involution."""
+    complements c - g of the minimal non-members g.  An involution.  The
+    minimal non-members are an antichain within the caps, and complementing
+    reverses divisibility, so the complements are one too."""
     nonmembers = minimal_nonmembers(m)
     if not nonmembers:
         raise UndefinedDual("the full multicomplex has no dual")
     comp = [tuple(ci - x for ci, x in zip(m.c, g)) for g in nonmembers]
-    return Multicomplex(m.c, tuple(sorted(comp)))
+    return Multicomplex.from_antichain(m.c, tuple(sorted(comp)))
 
 
 # ---------------------------------------------------------------------------

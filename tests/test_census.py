@@ -100,6 +100,12 @@ def test_enumeration_resource_limits():
         enumerate_multicomplexes((3, 3))
 
 
+@pytest.mark.parametrize("caps", [(0,), (-1, 2), (), (2, 0)])
+def test_multicomplex_enumeration_refuses_caps_that_are_not_positive(caps):
+    with pytest.raises(InvalidInput, match="cap vector entries must be positive"):
+        enumerate_multicomplexes(caps)
+
+
 def test_multicomplex_enumeration():
     assert len(enumerate_multicomplexes((3,))) == 3
     assert len(enumerate_multicomplexes((1, 1))) == 4

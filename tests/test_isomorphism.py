@@ -29,6 +29,7 @@ from bierlab.census import (
 from bierlab.complexes import (
     Complex,
     Isomorphism,
+    _refine,
     are_isomorphic,
     canonical_form,
     canonical_key,
@@ -253,6 +254,33 @@ def test_symmetric_inputs(k):
     assert canonical_key(relabeled) == canonical_key(k)
     iso = are_isomorphic(k, relabeled)
     assert iso is not None and maps_facets_onto(iso, k, relabeled)
+
+
+def refine_by_signature_rounds(colors, facet_verts, vertex_facets):
+    """``complexes._refine``'s general loop, with no shortcut for a
+    discrete coloring."""
+    cells = len(set(colors))
+    while True:
+        fcol = [tuple(sorted(colors[v] for v in vs)) for vs in facet_verts]
+        sigs = [(colors[v], tuple(sorted(fcol[f] for f in fs)))
+                for v, fs in enumerate(vertex_facets)]
+        rank = {s: i for i, s in enumerate(sorted(set(sigs)))}
+        colors = [rank[s] for s in sigs]
+        if len(rank) == cells:
+            return colors
+        cells = len(rank)
+
+
+@SETTINGS
+@given(complex_pairs(), st.booleans(), st.data())
+def test_refine_agrees_with_the_signature_rounds(pair, discrete, data):
+    k, _ = pair
+    colors = data.draw(st.lists(st.integers(-9, 9), min_size=k.m, max_size=k.m,
+                                unique=discrete))
+    facet_verts = [[v - 1 for v in vertices_of(f)] for f in k.facets]
+    vertex_facets = [[i for i, vs in enumerate(facet_verts) if v in vs] for v in range(k.m)]
+    expected = refine_by_signature_rounds(colors, facet_verts, vertex_facets)
+    assert _refine(colors, facet_verts, vertex_facets) == expected
 
 
 # ---------------------------------------------------------------------------

@@ -100,6 +100,33 @@ def test_c_dual_involution_and_generator_lemma():
                 assert set(minimal_nonmembers(dual)) == expected
 
 
+def test_members_and_unchecked_multicomplexes_match_their_oracles():
+    # the oracles: the box filtered by divisibility, as members() once was,
+    # and the constructor that checks everything
+    def divides(a, b):
+        return all(x <= y for x, y in zip(a, b))
+
+    for total in (1, 2, 3, 4, 5):
+        for caps in compositions(total):
+            box = sorted(itertools.product(*(range(ci + 1) for ci in caps)),
+                         key=lambda a: (sum(a), a))
+            for m in enumerate_multicomplexes(caps):
+                for x in (m, c_dual(m)):
+                    assert Multicomplex(caps, x.max_monomials) == x
+                    assert x.members() == [
+                        a for a in box if any(divides(a, g) for g in x.max_monomials)
+                    ]
+
+
+def test_enumeration_and_c_dual_skip_the_per_object_check(monkeypatch):
+    def refuse(self):
+        raise AssertionError("checked again")
+
+    monkeypatch.setattr(Multicomplex, "__post_init__", refuse)
+    for m in enumerate_multicomplexes((2, 1, 1)):
+        c_dual(m)
+
+
 def test_c_dual_of_full_rejected():
     with pytest.raises(UndefinedDual):
         c_dual(mc((2,), [(2,)]))

@@ -1,5 +1,6 @@
 """Property tests: invariants that must hold on every small complex."""
 
+import itertools
 from functools import lru_cache
 
 import pytest
@@ -7,7 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from bierlab import linalg
-from bierlab.census import enumerate_complexes
+from bierlab.census import _antichains, compositions, enumerate_complexes
 from bierlab.complexes import (
     Complex,
     Isomorphism,
@@ -22,7 +23,7 @@ from bierlab.complexes import (
 )
 from bierlab.duality import alexander_dual, bier_sphere
 from bierlab.errors import InvalidInput
-from bierlab.multicomplexes import _divides
+from bierlab.multicomplexes import _box, _divides
 from bierlab.tor import (
     GF2,
     GF3,
@@ -213,3 +214,34 @@ def test_check_antichain_refuses_exactly_the_comparable_pairs(case):
     else:
         check_antichain(items, below, "not an antichain")
     check_antichain(maximal(items, below), below, "not an antichain")
+
+
+# the antichain search, against every pairwise-incomparable subset
+POSETS = [(tuple(range(1 << m)), subset_of) for m in range(5)]
+POSETS += [(_box(c), _divides) for total in range(1, 5) for c in compositions(total)]
+
+
+@st.composite
+def linear_extensions(draw):
+    """Some items of a poset of subsets of [m], m <= 4, or of a box with
+    |c| <= 4, kept in the poset's listed order, which is a linear extension
+    of it, so the kept items are listed in one of theirs too."""
+    items, below = draw(st.sampled_from(POSETS))
+    keep = draw(st.lists(st.booleans(), min_size=len(items), max_size=len(items)))
+    return tuple(x for x, k in zip(items, keep) if k), below
+
+
+@SETTINGS
+@given(linear_extensions())
+def test_antichains_are_the_incomparable_subsets_in_depth_first_order(case):
+    items, below = case
+
+    def incomparable(s):
+        return not any(below(items[i], items[j]) or below(items[j], items[i])
+                       for i, j in itertools.combinations(s, 2))
+
+    # depth first, an index tuple comes after its prefixes and before its
+    # lexicographic successors: the order of sorted index tuples
+    subsets = sorted(s for r in range(len(items) + 1)
+                     for s in itertools.combinations(range(len(items)), r) if incomparable(s))
+    assert list(_antichains(items, below)) == [tuple(items[i] for i in s) for s in subsets]
