@@ -27,7 +27,6 @@ from .cubical import (
     boundary_complex,
     cell_symbol,
     check_cubical_homology,
-    check_gw_partition,
     cubical_homology,
     gw_partition_check,
     z_complex,
@@ -67,11 +66,9 @@ OPTIONS = {
     "--boundary": dict(action="store_true", help="emit the boundary cells"),
     "--homology": dict(action="store_true", help="reduced homology ranks"),
     "--gw": dict(action="store_true", help="run the partition check"),
-    "--resolution": dict(type=int, default=4),
     "--field": dict(type=characteristic, default=QQ,
                     help="coefficient field characteristic (0 = rationals)"),
     "--jobs": dict(type=positive_int, default=1, help="worker processes for census"),
-    "--seed": dict(type=int, default=0, help="seed for the random points of --gw"),
     "--out": dict(help="write the JSON result here instead of stdout"),
     "--cache-dir": dict(help="result cache directory (default: $BIERLAB_CACHE)"),
     "--no-cache": dict(action="store_true", help="disable the cache"),
@@ -212,8 +209,6 @@ def _cubical(args):
     # refuse before Z(K), the slow part
     if args.homology:
         check_cubical_homology(k)
-    if args.gw:
-        check_gw_partition(k, args.resolution)
     z = z_complex(k)
     target = boundary_complex(z) if args.boundary else z
     lines = [cell_symbol(c) for c in sorted(target.cells)]
@@ -221,12 +216,7 @@ def _cubical(args):
     if args.homology:
         payload["homology"] = cubical_homology(target, args.field.p)
     if args.gw:
-        report = gw_partition_check(k, args.resolution, args.seed)
-        payload["gw"] = {
-            "grid_points": report.grid_points,
-            "random_points": report.random_points,
-            "violations": len(report.violations),
-        }
+        payload["gw"] = {"corners": 1 << k.m, "violations": len(gw_partition_check(k))}
     return payload
 
 
@@ -275,8 +265,7 @@ COMMANDS = {
     "golod": Command("product-level Golod predicates", _golod, ("--in", "--field")),
     "faces": Command("f-, h- and gamma-vectors", _faces, ("--in",)),
     "cubical": Command("cubical disc of a complex", _cubical,
-                       ("--in", "--boundary", "--homology", "--gw", "--resolution", "--field",
-                        "--seed")),
+                       ("--in", "--boundary", "--homology", "--gw", "--field")),
     "census": Command("classified census of Bier spheres on [m]", _census,
                       ("--m", "--field", "--jobs")),
     # exit 1 when a report has counterexamples

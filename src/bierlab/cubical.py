@@ -1,19 +1,16 @@
 """Cubical models: the disc Z(K, K-dual) inside the subdivided cube
 [-1,1]^m, its boundary (the canonical cubulation of the Bier sphere), cone
 cubulations, exact cellular homology, and the polyhedral-product partition
-check on rational grids.
+check on the cube's 2^m corners.
 
 Cells are combinatorial state vectors, one state per coordinate:
-fixed at -1, 0 or +1, or spanning [-1,0] or [0,+1].  No floating point:
-point checks use exact rationals.
+fixed at -1, 0 or +1, or spanning [-1,0] or [0,+1].  No floating point.
 """
 
 from __future__ import annotations
 
 import itertools
-import random
 from dataclasses import dataclass
-from fractions import Fraction
 
 from . import linalg
 from .complexes import Complex, faces, has_face, vertices_of
@@ -233,60 +230,18 @@ def point_membership(x, k: Complex, side: str) -> bool:
     return has_face(k, missing)
 
 
-@dataclass(frozen=True)
-class GwReport:
-    """Outcome of the partition check of the two polyhedral products."""
+def gw_partition_check(k: Complex) -> tuple[int, ...]:
+    """The positive supports at which the product of K with the nonpositive
+    interval [-1,0] and the product of the dual with the positive interval
+    (0,1] fail to partition [-1,1]^m: ascending masks, empty when they do.
 
-    m: int
-    resolution: int
-    seed: int
-    grid_points: int
-    random_points: int
-    violations: tuple
-
-
-RANDOM_POINTS = 128
-
-
-def check_gw_partition(k: Complex, resolution: int):
-    """Refuse a grid ``gw_partition_check`` will not sweep; it depends only
-    on m and the resolution, so the CLI asks before Z(K) is built."""
-    if resolution < 1:
-        raise InvalidInput("resolution must be positive")
-    # far above the census (5^4 grid points) and the CLI default at m = 5 (5^5)
-    if (resolution + 1) ** k.m > 10**6:
-        raise ResourceLimit("gw_partition_check sweeps (resolution+1)^m points; need <= 10^6")
-
-
-def gw_partition_check(k: Complex, resolution: int = 4, seed: int = 0) -> GwReport:
-    """Verify that every point of [-1,1]^m lies in exactly one of the
-    product over K with the nonpositive interval and the product over the
-    dual with the strictly-positive complement.
-
-    Exhaustive over the rational grid of the given resolution plus a seeded
-    batch of ``RANDOM_POINTS`` random rational points; zero coordinates are
-    classified by the K side iff the positive support is a face.
+    A point x lies in the first product iff its positive support
+    P = {i : x_i > 0} is a face of K, and in the second iff [m] - P is a
+    face of the dual.  Both depend on P alone, so the 2^m corners of the
+    cube, one for each P, decide every point of it.
     """
-    check_gw_partition(k, resolution)
+    if k.m > 16:
+        raise ResourceLimit("gw_partition_check visits the 2^m corners; need m <= 16")
     dual = alexander_dual(k)
-    axis = [Fraction(2 * t - resolution, resolution) for t in range(resolution + 1)]
-    rng = random.Random(seed)
-    q = 2 * resolution + 1
-    randoms = [
-        tuple(Fraction(rng.randint(-q, q), q) for _ in range(k.m))
-        for _ in range(RANDOM_POINTS)
-    ]
-    violations = []
-    for point in itertools.chain(itertools.product(axis, repeat=k.m), randoms):
-        in_k = has_face(k, sum(1 << i for i, xi in enumerate(point) if xi > 0))
-        in_dual = has_face(dual, sum(1 << i for i, xi in enumerate(point) if xi <= 0))
-        if in_k == in_dual:
-            violations.append((tuple(point), in_k, in_dual))
-    return GwReport(
-        k.m,
-        resolution,
-        seed,
-        (resolution + 1) ** k.m,
-        RANDOM_POINTS,
-        tuple(violations),
-    )
+    full = k.full_mask
+    return tuple(p for p in range(full + 1) if has_face(k, p) == has_face(dual, full ^ p))

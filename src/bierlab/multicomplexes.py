@@ -254,7 +254,8 @@ def murai_sphere(m: Multicomplex) -> Complex:
     Facets: for each member monomial a, each variable i and level j with
     a_i < j <= c_i such that bumping a_i to j leaves the multicomplex, take
     the whole level set minus the levels of a minus (i, j).  The rule's
-    output is checked to be an antichain of pairwise distinct sets.
+    output is checked to be pairwise distinct sets of |c| - 1 vertices
+    each, and distinct sets of one size form an antichain.
     """
     if is_full(m):
         raise UndefinedDual("the full multicomplex has no sphere")
@@ -274,9 +275,8 @@ def murai_sphere(m: Multicomplex) -> Complex:
                 if a[:i] + (j,) + a[i + 1:] not in inside:
                     gens.append(full ^ removed ^ (1 << (offs[i] + j)))
     assert len(gens) == len(set(gens))
-    sphere = Complex.from_masks(n, gens)
-    assert len(sphere.facets) == len(gens)
-    return sphere
+    assert all(g.bit_count() == n - len(c) - 1 for g in gens)
+    return Complex.from_antichain(n, tuple(sorted(gens)))
 
 
 def murai_face_ideal(m: Multicomplex) -> MonomialIdeal:

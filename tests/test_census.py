@@ -3,6 +3,7 @@ import itertools
 import json
 import math
 import operator
+from collections import Counter
 
 import pytest
 
@@ -84,6 +85,84 @@ def test_orbit_stabilizer_cross_check():
                     auts += 1
             total += math.factorial(m) // auts
         assert total == labeled
+
+
+def cycle_types(m: int, largest: int | None = None):
+    """The partitions of m, parts in descending order."""
+    if m == 0:
+        yield ()
+        return
+    for part in range(min(m, largest or m), 0, -1):
+        for rest in cycle_types(m - part, part):
+            yield (part,) + rest
+
+
+def invariant_antichains(m: int, cycle_type: tuple[int, ...]) -> list[int]:
+    """Coefficient j: the antichains of subsets of [m] with j members that
+    a permutation of the given cycle type fixes.  Such an antichain is a
+    union of orbits of subsets under the permutation, no two of them
+    comparable (one orbit's sets all have one size), so the count runs over
+    the independent sets of the orbits' comparability graph, x^|O| for each
+    orbit O chosen."""
+    perm = []
+    for length in cycle_type:
+        start = len(perm)
+        perm += [start + (i + 1) % length for i in range(length)]
+    orbits, seen = [], set()
+    for s in range(1 << m):
+        orbit = []
+        while s not in seen:
+            seen.add(s)
+            orbit.append(s)
+            s = sum(1 << perm[v] for v in range(m) if s >> v & 1)
+        if orbit:
+            orbits.append(orbit)
+    clash = [
+        sum(1 << j for j, other in enumerate(orbits) if j != i and any(
+            (a & b) in (a, b) for a in orbit for b in other))
+        for i, orbit in enumerate(orbits)
+    ]
+
+    @functools.lru_cache(maxsize=None)
+    def count(free: int) -> tuple[int, ...]:
+        if not free:
+            return (1,)
+        i = (free & -free).bit_length() - 1
+        rest = free & ~(1 << i)
+        skip = count(rest)
+        take = (0,) * len(orbits[i]) + count(rest & ~clash[i])
+        return tuple(map(sum, itertools.zip_longest(skip, take, fillvalue=0)))
+
+    return list(count((1 << len(orbits)) - 1))
+
+
+def burnside_complex_counts(m: int) -> dict[int, int]:
+    """Facet count -> number of isomorphism classes of complexes on [m] but
+    the simplex, by Burnside's lemma over one permutation per cycle type,
+    weighted by the size of its conjugacy class: the antichains of subsets
+    of [m] less the empty one and {[m]}."""
+    totals = []
+    for cycle_type in cycle_types(m):
+        centralizer = math.prod(cycle_type) * math.prod(
+            math.factorial(cycle_type.count(n)) for n in set(cycle_type))
+        weight = math.factorial(m) // centralizer
+        fixed = invariant_antichains(m, cycle_type)
+        totals += [0] * (len(fixed) - len(totals))
+        for j, n in enumerate(fixed):
+            totals[j] += weight * n
+    assert all(n % math.factorial(m) == 0 for n in totals)
+    classes = [n // math.factorial(m) for n in totals]
+    classes[0] -= 1  # the empty antichain
+    classes[1] -= 1  # {[m]}, the simplex
+    return {j: n for j, n in enumerate(classes) if n}
+
+
+def test_census_class_counts_by_facet_count_match_burnside():
+    counts = {m: burnside_complex_counts(m) for m in (1, 2, 3, 4, 5)}
+    for m, by_facets in counts.items():
+        census = enumerate_complexes(m, include_simplex=False)
+        assert by_facets == Counter(len(k.facets) for k in census)
+    assert [sum(counts[m].values()) for m in (3, 4, 5)] == [8, 28, 208]
 
 
 def test_a_negative_ground_set_is_invalid():

@@ -217,7 +217,7 @@ def test_cubical_command(tmp_path):
     ) == 0
     payload = read(out)
     assert payload["homology"] == [0, 1]
-    assert payload["gw"]["violations"] == 0
+    assert payload["gw"] == {"corners": 8, "violations": 0}
     assert all(set(line.split()) <= {"-", "0", "+", "[-0]", "[0+]"} for line in payload["cells"])
 
 
@@ -279,6 +279,8 @@ def test_bad_builder_is_an_error():
         ["faces", "--in", "K", "--field", "2"],
         ["verify", "--suite", "golod", "--sample", "2"],
         ["verify", "--suite", "bier-1dim", "--seed", "1"],
+        ["cubical", "--in", "K", "--resolution", "4"],
+        ["cubical", "--in", "K", "--seed", "1"],
     ],
 )
 def test_subcommands_refuse_options_they_do_not_read(tmp_path, argv):
@@ -383,9 +385,6 @@ def test_jobs_below_one_are_refused_while_parsing(monkeypatch, capsys, value):
         (["murai", "--in", "CAPS40"], "need <= 10^5", None),
         (["murai-ideal", "--in", "CAPS40"], "need <= 10^5", None),
         (["cubical", "--in", "OCTAHEDRON4", "--homology"], "need m <= 5", None),
-        (["cubical", "--in", "OCTAHEDRON4", "--gw", "--resolution", "100"], "need <= 10^6", None),
-        (["cubical", "--in", "CYCLE5", "--gw", "--resolution", "0"], "resolution must be positive",
-         None),
         (["census", "--m", "-1"], "ground-set size must be nonnegative, got -1", None),
         (["bier", "--in", "VOID8000"], "need m <= 64", (jsonio, "make_complex")),
         (["complex", "--build", "cross-polytope:11"], "need n <= 10", (complexes, "join")),
@@ -400,7 +399,7 @@ def test_jobs_below_one_are_refused_while_parsing(monkeypatch, capsys, value):
         (["classify", "--in", "OCTAHEDRON8"], "need <= 2^14 facets", (duality, "Complex")),
     ],
     ids=["dual", "bier", "classify", "faces", "murai", "murai-ideal", "cubical",
-         "cubical-gw-grid", "cubical-gw-resolution", "census", "bier-json-m8000",
+         "census", "bier-json-m8000",
          "cross-polytope-11", "cycle-100000", "simplex-100000", "truncation-sphere-48-48",
          "truncation-sphere-64-64", "bier-cross-polytope-8", "classify-cross-polytope-8"],
 )
@@ -414,7 +413,6 @@ def test_exponential_and_negative_inputs_exit_2_before_any_work(
         "CAPS40": {"c": [40] * 5, "max_monomials": [[1] * 5]},
         "OCTAHEDRON4": complex_to_dict(complexes.cross_polytope(4)),
         "OCTAHEDRON8": complex_to_dict(complexes.cross_polytope(8)),
-        "CYCLE5": complex_to_dict(complexes.cycle(5)),
         "VOID8000": {"m": 8000, "facets": []},
     }
     for name, payload in files.items():

@@ -1,10 +1,15 @@
+import itertools
+import json
+import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from bierlab import cubical
-from bierlab.census import enumerate_complexes
-from bierlab.complexes import Complex, cycle, make_complex, points
+from bierlab.census import enumerate_complexes, verify
+from bierlab.complexes import Complex, cycle, has_face, make_complex, minimal_nonfaces, points
 from bierlab.cubical import (
     FIX_NEG,
     FIX_POS,
@@ -22,7 +27,7 @@ from bierlab.cubical import (
     point_membership,
     z_complex,
 )
-from bierlab.duality import bier_sphere
+from bierlab.duality import alexander_dual, bier_sphere
 from bierlab.errors import InvalidInput, ResourceLimit
 
 
@@ -123,16 +128,13 @@ def test_point_membership():
         point_membership((0, 0, 0), k, "sideways")
 
 
-def test_gw_partition_check_refuses_a_huge_grid_before_sweeping(monkeypatch):
+def test_gw_partition_check_refuses_a_large_ground_set_before_sweeping(monkeypatch):
     def no_work(k):
         raise AssertionError("the sweep started")
 
     monkeypatch.setattr(cubical, "alexander_dual", no_work)
-    # 5^9 grid points at the default resolution, 101^3 at resolution 100
     with pytest.raises(ResourceLimit):
-        gw_partition_check(points(3, 9))
-    with pytest.raises(ResourceLimit):
-        gw_partition_check(points(3, 3), resolution=100)
+        gw_partition_check(points(3, 17))
 
 
 def cells_by_dim_oracle(c: CubicalComplex) -> list[list]:
@@ -182,10 +184,85 @@ def test_cubical_homology_refuses_a_characteristic_that_is_not_prime(p):
         cubical_homology(rim, p)
 
 
-def test_gw_partition_check_counts():
-    report = gw_partition_check(points(3, 3), resolution=4, seed=7)
-    assert report.grid_points == 125
-    assert not report.violations
+def test_gw_partition_check_counts(monkeypatch):
+    assert gw_partition_check(points(3, 3)) == ()
     # boundary points with zero coordinates belong to the K side iff the
     # positive support is a face
     assert point_membership((1, -1, 0), points(3, 3), "nonpositive")
+    # a dual missing the vertex 1: the corner (-1, +1, +1) has positive
+    # support {2, 3}, not a face of K, and negative support {1}, not a face
+    # of the planted dual, so it lies in neither product
+    monkeypatch.setattr(cubical, "alexander_dual", lambda k: make_complex(3, [[2], [3]]))
+    assert gw_partition_check(points(3, 3)) == (0b110,)
+
+
+def grid_oracle(k: Complex, dual: Complex) -> tuple:
+    """The partition check as it once ran: every point of the rational grid
+    of resolution 4 plus 128 seeded random rational points, a zero
+    coordinate counted on the K side.  The grid holds every corner, so the
+    positive supports of its violations, ascending, are all of them."""
+    resolution = 4
+    axis = [Fraction(2 * t - resolution, resolution) for t in range(resolution + 1)]
+    rng = random.Random(0)
+    q = 2 * resolution + 1
+    randoms = [
+        tuple(Fraction(rng.randint(-q, q), q) for _ in range(k.m))
+        for _ in range(128)
+    ]
+    supports = set()
+    for point in itertools.chain(itertools.product(axis, repeat=k.m), randoms):
+        positive = sum(1 << i for i, xi in enumerate(point) if xi > 0)
+        in_k = has_face(k, positive)
+        in_dual = has_face(dual, sum(1 << i for i, xi in enumerate(point) if xi <= 0))
+        if in_k == in_dual:
+            supports.add(positive)
+    return tuple(sorted(supports))
+
+
+def assert_corners_match_the_grid(k: Complex, dual: Complex) -> None:
+    """The corner sweep, handed ``dual`` as the Alexander dual, against the
+    grid oracle; the products partition the cube iff ``dual`` is the dual."""
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(cubical, "alexander_dual", lambda _k: dual)
+        violations = gw_partition_check(k)
+    assert violations == grid_oracle(k, dual)
+    assert bool(violations) == (dual != alexander_dual(k))
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.integers(1, 6).flatmap(lambda m: st.tuples(
+    st.just(m),
+    st.lists(st.integers(0, (1 << m) - 2), max_size=6),
+    st.integers(0, (1 << m) - 1),
+)))
+def test_corner_sweep_matches_the_grid_on_true_and_planted_duals(case):
+    m, gens, extra = case
+    k = Complex.from_masks(m, gens)
+    dual = alexander_dual(k)
+    assert_corners_match_the_grid(k, dual)
+    assert_corners_match_the_grid(k, Complex.from_masks(m, dual.facets[1:]))
+    assert_corners_match_the_grid(k, Complex.from_masks(m, dual.facets + (extra,)))
+
+
+def test_corner_sweep_matches_the_grid_on_the_census():
+    for m in (1, 2, 3, 4):
+        for k in enumerate_complexes(m, include_simplex=False):
+            dual = alexander_dual(k)
+            assert_corners_match_the_grid(k, dual)
+            for i in range(len(dual.facets)):
+                dropped = dual.facets[:i] + dual.facets[i + 1:]
+                assert_corners_match_the_grid(k, Complex.from_masks(m, dropped))
+            for s in minimal_nonfaces(dual):
+                assert_corners_match_the_grid(k, Complex.from_masks(m, dual.facets + (s,)))
+
+
+def test_a_wrong_dual_gives_a_gw_report_that_json_can_write(monkeypatch):
+    def wrong_dual(k):
+        dual = alexander_dual(k)
+        return Complex.from_masks(k.m, dual.facets[1:])
+
+    monkeypatch.setattr(cubical, "alexander_dual", wrong_dual)
+    report = verify("gw-duality")
+    assert not report.ok
+    written = json.loads(json.dumps(report.to_dict()))
+    assert written["counterexamples"][0]["violations"]

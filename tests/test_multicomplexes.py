@@ -4,6 +4,7 @@ import pytest
 
 from bierlab.census import compositions, enumerate_multicomplexes
 from bierlab.complexes import (
+    Complex,
     Isomorphism,
     are_isomorphic,
     cross_polytope,
@@ -171,6 +172,17 @@ def test_murai_sphere_dimension():
         for caps in compositions(total):
             for m in enumerate_multicomplexes(caps):
                 assert murai_sphere(m).dim == total - 2
+
+
+def test_murai_sphere_facets_are_the_antichain_from_masks_would_keep():
+    # the oracle: from_masks, whose maximal pass drops any facet lying in
+    # another; the rule's facets all have |c| - 1 vertices, so it drops none
+    for total in (1, 2, 3, 4):
+        for caps in compositions(total):
+            for m in enumerate_multicomplexes(caps):
+                sphere = murai_sphere(m)
+                assert Complex.from_masks(sphere.m, sphere.facets) == sphere
+                assert all(f.bit_count() == total - 1 for f in sphere.facets)
 
 
 def test_murai_sphere_of_full_rejected():
