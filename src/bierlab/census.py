@@ -258,17 +258,18 @@ class CensusRecord:
 def sphere_record(row: tuple[Complex, Complex, str], field_tag: FieldTag = QQ) -> CensusRecord:
     """Record for a ``_bier_spheres`` row (K, ghost-free Bier sphere, its key)."""
     k, sphere, key = row
+    cls = classify_bier(k, sphere)
     betti = hochster_betti(sphere, field_tag)
     golod, min_non = golod_summary(sphere, field_tag)
     return CensusRecord(
         canonical=key,
-        tags=classify_bier(k, sphere).tags,
+        tags=cls.tags,
         f=f_vector(sphere),
         h=h_vector(sphere),
         gamma=gamma_vector(sphere),
         betti=tuple((i, j, r) for (i, j), r in betti.items_sorted()),
         betti_field=field_tag.p,
-        flag=is_flag(sphere),
+        flag=cls.flag,
         product_golod=golod,
         min_non_golod=min_non,
     )
@@ -365,7 +366,7 @@ def _suite_bier_13types(report: VerificationReport) -> None:
         spheres.setdefault(key, sphere)
     for key, sphere in sorted(spheres.items()):
         report.check(
-            sphere.dim == 2 and homology_sphere_check(sphere, 3),
+            homology_sphere_check(sphere, 3),
             {"sphere": key, "reason": "not a 2-dimensional homology sphere"},
         )
     report.details["distinct_types"] = len(spheres)
@@ -582,7 +583,7 @@ def _suite_murai_sphere(report: VerificationReport) -> None:
             labeled += multiplicity
             ok = verdicts.get((total, key))
             if ok is None:
-                ok = sphere.dim == total - 2 and homology_sphere_check(sphere, total - 1)
+                ok = homology_sphere_check(sphere, total - 1)
                 verdicts[(total, key)] = ok
             report.check(ok, {"c": caps, "max_monomials": m.max_monomials})
     report.details["labeled_multicomplexes"] = labeled

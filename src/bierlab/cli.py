@@ -22,7 +22,7 @@ from typing import Callable, NamedTuple
 from . import cache as cachemod
 from . import census as censusmod
 from .complexes import canonical_key, drop_ghosts, format_key, is_flag, standard_complex
-from .complexes import are_isomorphic, truncation_sphere, vertices_of
+from .complexes import are_isomorphic, check_subset_sweep, truncation_sphere, vertices_of
 from .cubical import (
     boundary_complex,
     cell_symbol,
@@ -36,7 +36,7 @@ from .errors import BierlabError, InvalidInput
 from .facevectors import f_vector, gamma_vector, h_vector, is_dehn_sommerville, realize_gamma_as_flag_f
 from .jsonio import complex_to_dict, dump_json, load_complex, load_multicomplex
 from .multicomplexes import murai_face_ideal, murai_sphere, murai_vertex_labels
-from .tor import QQ, FieldTag, check_koszul_oracle, check_subset_sweep, golod_summary
+from .tor import QQ, FieldTag, check_koszul_oracle, golod_summary
 from .tor import hochster_betti, koszul_betti_oracle, tor_products
 
 

@@ -175,6 +175,14 @@ def faces(k: Complex) -> set[int]:
     return out
 
 
+def check_subset_sweep(k: Complex):
+    """Refuse, before any work, a complex whose 2^m vertex subsets are too
+    many to sweep: the Betti table, every product scan and the partition
+    check's corners each visit all of them."""
+    if k.m > 16:
+        raise ResourceLimit("a sweep over the subsets of [m] visits 2^m of them; need m <= 16")
+
+
 def f_vector_counts(k: Complex) -> tuple[int, ...]:
     """(f_-1, f_0, ..., f_{dim}) face counts."""
     counts = [0] * (k.dim + 2)

@@ -13,7 +13,7 @@ import itertools
 from dataclasses import dataclass
 
 from . import linalg
-from .complexes import Complex, faces, has_face, vertices_of
+from .complexes import Complex, check_subset_sweep, faces, has_face, vertices_of
 from .duality import alexander_dual, bier_sphere
 from .errors import InvalidInput, ResourceLimit
 
@@ -207,27 +207,7 @@ def cubical_homology(c: CubicalComplex, p: int = 0) -> list[int]:
 
 
 # ---------------------------------------------------------------------------
-# polyhedral-product membership and the partition check
-
-
-def point_membership(x, k: Complex, side: str) -> bool:
-    """Is the point of [-1,1]^m in the polyhedral product of K with the
-    closed half-interval on the given side ('nonpositive' or 'nonnegative')?
-
-    For side 'nonpositive' the missing set is {i : x_i > 0} and membership
-    means that set is a face; symmetrically for 'nonnegative'.
-    """
-    if len(x) != k.m:
-        raise InvalidInput("point length differs from the ground-set size")
-    if any(not -1 <= xi <= 1 for xi in x):
-        raise InvalidInput("coordinates must lie in [-1, 1]")
-    if side == "nonpositive":
-        missing = sum(1 << i for i, xi in enumerate(x) if xi > 0)
-    elif side == "nonnegative":
-        missing = sum(1 << i for i, xi in enumerate(x) if xi < 0)
-    else:
-        raise InvalidInput("side must be 'nonpositive' or 'nonnegative'")
-    return has_face(k, missing)
+# the polyhedral-product partition check
 
 
 def gw_partition_check(k: Complex) -> tuple[int, ...]:
@@ -240,8 +220,7 @@ def gw_partition_check(k: Complex) -> tuple[int, ...]:
     face of the dual.  Both depend on P alone, so the 2^m corners of the
     cube, one for each P, decide every point of it.
     """
-    if k.m > 16:
-        raise ResourceLimit("gw_partition_check visits the 2^m corners; need m <= 16")
+    check_subset_sweep(k)
     dual = alexander_dual(k)
     full = k.full_mask
     return tuple(p for p in range(full + 1) if has_face(k, p) == has_face(dual, full ^ p))

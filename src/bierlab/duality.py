@@ -126,11 +126,21 @@ def swap_isomorphism(k: Complex) -> Isomorphism:
 # classification
 
 
+# Each flag family's polytope is I^n x P; the table gives the nerve of P: a
+# point (the void complex, so the polytope is I^n itself), the pentagon,
+# the hexagon and the cube with two adjacent edge cuts.
+FLAG_FACTORS = {
+    "cube": Complex(0, (0,)),
+    "cube_x_p5": cycle(5),
+    "cube_x_p6": cycle(6),
+    "cube_x_q23": nerve_q2_3(),
+}
+
+
 @dataclass(frozen=True)
 class FlagKind:
-    """Reference family of a flag sphere: the simple polytope is
-    family x I^n, with family one of 'cube' (the polytope is I^n itself),
-    'cube_x_p5', 'cube_x_p6', 'cube_x_q23'."""
+    """Reference family of a flag sphere: the simple polytope I^n x P, with
+    P the factor whose nerve ``FLAG_FACTORS[family]`` holds."""
 
     family: str
     n: int
@@ -166,39 +176,27 @@ class BierClassification:
 
 
 def reference_flag_sphere(kind: FlagKind) -> Complex:
-    """The sphere (polytope-nerve) of a reference family member."""
-    base = {
-        "cube": Complex(0, (0,)),
-        "cube_x_p5": cycle(5),
-        "cube_x_p6": cycle(6),
-        "cube_x_q23": nerve_q2_3(),
-    }
-    if kind.family not in base:
+    """The sphere (polytope-nerve) of a reference family member: the cross
+    polytope of dimension n joined with the factor's nerve."""
+    factor = FLAG_FACTORS.get(kind.family)
+    if factor is None:
         raise InvalidInput(f"unknown flag family {kind.family!r}")
-    if kind.n < 0 or (kind.family == "cube" and kind.n < 1):
+    if kind.n < max(0, -factor.dim):
         raise InvalidInput("cube family needs n >= 1; others n >= 0")
-    return join(cross_polytope(kind.n), base[kind.family])
+    return join(cross_polytope(kind.n), factor)
 
 
 def match_flag_family(sphere: Complex) -> FlagKind | None:
-    """Identify a ghost-free flag sphere against the four families by
-    isomorphism; dimension and vertex count pin down the only candidate n
-    per family."""
-    d = sphere.dim
-    n_vertices = sphere.m
-    candidates = []
-    if d + 1 >= 1 and n_vertices == 2 * (d + 1):
-        candidates.append(FlagKind("cube", d + 1))
-    if d - 1 >= 0:
-        if n_vertices == 2 * (d - 1) + 5:
-            candidates.append(FlagKind("cube_x_p5", d - 1))
-        if n_vertices == 2 * (d - 1) + 6:
-            candidates.append(FlagKind("cube_x_p6", d - 1))
-    if d - 2 >= 0 and n_vertices == 2 * (d - 2) + 8:
-        candidates.append(FlagKind("cube_x_q23", d - 2))
-    for kind in candidates:
-        if are_isomorphic(sphere, reference_flag_sphere(kind)) is not None:
-            return kind
+    """Identify a ghost-free flag sphere against the families by
+    isomorphism.  The join adds n to the factor's dimension and 2n to its
+    vertex count, so the dimension pins down the only candidate n per
+    family and the vertex count must agree."""
+    for family, factor in FLAG_FACTORS.items():
+        n = sphere.dim - factor.dim
+        if n >= max(0, -factor.dim) and sphere.m == 2 * n + factor.m:
+            kind = FlagKind(family, n)
+            if are_isomorphic(sphere, reference_flag_sphere(kind)) is not None:
+                return kind
     return None
 
 
@@ -246,7 +244,7 @@ def classify_bier(k: Complex, sphere: Complex) -> BierClassification:
       without the tag (``match_truncation_family`` tests the sphere
       itself);
     * flag-family(kind): ``sphere`` is flag; the kind is found by
-      isomorphism against the four reference families.
+      isomorphism against the reference families of ``FLAG_FACTORS``.
     """
     cuts = k_truncation_cuts(k)
     flag = is_flag(sphere)

@@ -15,7 +15,7 @@ import math
 from dataclasses import dataclass
 from functools import lru_cache
 
-from .complexes import Complex, check_antichain, maximal
+from .complexes import MAX_GROUND, Complex, check_antichain, maximal
 from .errors import InvalidInput, ResourceLimit, UndefinedDual
 
 
@@ -82,10 +82,11 @@ class Multicomplex:
     def members(self) -> list[tuple[int, ...]]:
         """All monomials of the multicomplex, in the graded box order: the
         union of the boxes below the maximal monomials."""
+        box = _box(self.c)  # refuses a box too large before any work
         inside = set()
         for g in self.max_monomials:
             inside.update(itertools.product(*(range(x + 1) for x in g)))
-        return [a for a in _box(self.c) if a in inside]
+        return [a for a in box if a in inside]
 
 
 @lru_cache(maxsize=None)
@@ -262,9 +263,14 @@ def murai_sphere(m: Multicomplex) -> Complex:
     c = m.c
     offs = block_offsets(c)
     n = offs[-1]
+    members = m.members()
+    # a box within its bound can still have a long level set: caps (2000,)
+    # give a sphere on 2,001 vertices, which the JSON reader refuses
+    if n > MAX_GROUND:
+        raise ResourceLimit(
+            f"murai_sphere: the level set has sum(c_i + 1) vertices; need <= {MAX_GROUND}")
     full = (1 << n) - 1
     gens = []
-    members = m.members()
     inside = set(members)
     for a in members:
         removed = 0
@@ -297,12 +303,13 @@ def murai_face_ideal(m: Multicomplex) -> MonomialIdeal:
 
 
 def multicomplex_of_complex(k: Complex) -> Multicomplex:
-    """The caps-(1,...,1) multicomplex whose monomials are the faces."""
-    caps = tuple(1 for _ in range(k.m))
-    gens = [
-        tuple(1 if f & (1 << i) else 0 for i in range(k.m)) for f in k.facets
-    ]
-    return make_multicomplex(caps, gens)
+    """The caps-(1,...,1) multicomplex whose monomials are the faces.  The
+    facets are an inclusion antichain, so their exponent vectors are a
+    divisibility antichain, and nothing is checked again."""
+    if not k.m:
+        raise InvalidInput("cap vector entries must be positive")
+    gens = (tuple(f >> i & 1 for i in range(k.m)) for f in k.facets)
+    return Multicomplex.from_antichain((1,) * k.m, tuple(sorted(gens)))
 
 
 def bier_relabeling_to_murai(m_ground: int) -> list[int]:

@@ -19,7 +19,7 @@ import itertools
 from dataclasses import dataclass
 
 from . import linalg
-from .complexes import Complex, faces, is_pure, submasks, vertices_of
+from .complexes import Complex, check_subset_sweep, faces, is_pure, submasks, vertices_of
 from .errors import ResourceLimit
 from .linalg import Echelon, check_characteristic
 
@@ -108,13 +108,6 @@ def homology_sphere_check(k: Complex, n: int) -> bool:
 
 # ---------------------------------------------------------------------------
 # bigraded Betti numbers
-
-
-def check_subset_sweep(k: Complex):
-    """Refuse, before any work, a complex whose 2^m full subcomplexes are
-    too many to sweep: the Betti table and every product scan sweep them."""
-    if k.m > 16:
-        raise ResourceLimit("the full-subcomplex sweep visits 2^m subsets; need m <= 16")
 
 
 def check_koszul_oracle(k: Complex):

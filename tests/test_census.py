@@ -97,29 +97,34 @@ def cycle_types(m: int, largest: int | None = None):
             yield (part,) + rest
 
 
-def invariant_antichains(m: int, cycle_type: tuple[int, ...]) -> list[int]:
-    """Coefficient j: the antichains of subsets of [m] with j members that
-    a permutation of the given cycle type fixes.  Such an antichain is a
-    union of orbits of subsets under the permutation, no two of them
-    comparable (one orbit's sets all have one size), so the count runs over
-    the independent sets of the orbits' comparability graph, x^|O| for each
-    orbit O chosen."""
+def cycle_permutation(cycle_type: tuple[int, ...]) -> list[int]:
+    """A permutation of range(sum(cycle_type)) with the given cycle type."""
     perm = []
     for length in cycle_type:
         start = len(perm)
         perm += [start + (i + 1) % length for i in range(length)]
+    return perm
+
+
+def invariant_antichains(items, move, below) -> list[int]:
+    """Coefficient j: the antichains with j members of the poset ``items``
+    that its automorphism ``move`` fixes.  Such an antichain is a union of
+    orbits of ``move``, no two of them comparable (one orbit's items all
+    have one rank: subsets one size, exponent vectors one degree), so the
+    count runs over the independent sets of the orbits' comparability
+    graph, x^|O| for each orbit O chosen."""
     orbits, seen = [], set()
-    for s in range(1 << m):
+    for s in items:
         orbit = []
         while s not in seen:
             seen.add(s)
             orbit.append(s)
-            s = sum(1 << perm[v] for v in range(m) if s >> v & 1)
+            s = move(s)
         if orbit:
             orbits.append(orbit)
     clash = [
         sum(1 << j for j, other in enumerate(orbits) if j != i and any(
-            (a & b) in (a, b) for a in orbit for b in other))
+            below(a, b) or below(b, a) for a in orbit for b in other))
         for i, orbit in enumerate(orbits)
     ]
 
@@ -136,25 +141,58 @@ def invariant_antichains(m: int, cycle_type: tuple[int, ...]) -> list[int]:
     return list(count((1 << len(orbits)) - 1))
 
 
+def burnside_classes(weighted_fixed, order: int) -> dict[int, int]:
+    """Size -> number of orbits of antichains, by Burnside's lemma, from
+    (weight, fixed antichain counts by size) over the group of the given
+    order, less the empty antichain and the one of the top element alone."""
+    totals = []
+    for weight, fixed in weighted_fixed:
+        totals += [0] * (len(fixed) - len(totals))
+        for j, n in enumerate(fixed):
+            totals[j] += weight * n
+    assert all(n % order == 0 for n in totals)
+    classes = [n // order for n in totals]
+    classes[0] -= 1  # the empty antichain
+    classes[1] -= 1  # the top element alone
+    return {j: n for j, n in enumerate(classes) if n}
+
+
 def burnside_complex_counts(m: int) -> dict[int, int]:
     """Facet count -> number of isomorphism classes of complexes on [m] but
     the simplex, by Burnside's lemma over one permutation per cycle type,
     weighted by the size of its conjugacy class: the antichains of subsets
     of [m] less the empty one and {[m]}."""
-    totals = []
+    weighted_fixed = []
     for cycle_type in cycle_types(m):
         centralizer = math.prod(cycle_type) * math.prod(
             math.factorial(cycle_type.count(n)) for n in set(cycle_type))
-        weight = math.factorial(m) // centralizer
-        fixed = invariant_antichains(m, cycle_type)
-        totals += [0] * (len(fixed) - len(totals))
-        for j, n in enumerate(fixed):
-            totals[j] += weight * n
-    assert all(n % math.factorial(m) == 0 for n in totals)
-    classes = [n // math.factorial(m) for n in totals]
-    classes[0] -= 1  # the empty antichain
-    classes[1] -= 1  # {[m]}, the simplex
-    return {j: n for j, n in enumerate(classes) if n}
+        perm = cycle_permutation(cycle_type)
+        fixed = invariant_antichains(
+            range(1 << m),
+            lambda s: sum(1 << perm[v] for v in range(m) if s >> v & 1),
+            lambda a, b: a & b == a,
+        )
+        weighted_fixed.append((math.factorial(m) // centralizer, fixed))
+    return burnside_classes(weighted_fixed, math.factorial(m))
+
+
+def burnside_multicomplex_counts(c: tuple[int, ...]) -> dict[int, int]:
+    """Maximal-monomial count -> number of classes of proper multicomplexes
+    with caps c under the variable permutations that keep the caps, by
+    Burnside's lemma over that group: the antichains of the box under
+    divisibility less the empty one and {c}."""
+    box = list(itertools.product(*(range(x + 1) for x in c)))
+    group = [perm for perm in itertools.permutations(range(len(c)))
+             if all(c[i] == c[j] for i, j in enumerate(perm))]
+    weighted_fixed = [
+        (1, invariant_antichains(
+            box,
+            lambda a: tuple(a[j] for j in perm),
+            lambda a, b: all(x <= y for x, y in zip(a, b)),
+        ))
+        for perm in group
+    ]
+    return burnside_classes(weighted_fixed, len(group))
 
 
 def test_census_class_counts_by_facet_count_match_burnside():
@@ -163,6 +201,18 @@ def test_census_class_counts_by_facet_count_match_burnside():
         census = enumerate_complexes(m, include_simplex=False)
         assert by_facets == Counter(len(k.facets) for k in census)
     assert [sum(counts[m].values()) for m in (3, 4, 5)] == [8, 28, 208]
+
+
+def test_multicomplex_census_rows_by_caps_match_burnside():
+    rows = Counter(
+        (caps, len(m.max_monomials))
+        for total in (1, 2, 3, 4, 5) for caps, m, _n, _form in census._murai_census(total)
+    )
+    assert sum(rows.values()) == 2012
+    for total in (1, 2, 3, 4, 5):
+        for caps in compositions(total):
+            counts = burnside_multicomplex_counts(caps)
+            assert counts == {j: n for (c, j), n in rows.items() if c == caps}
 
 
 def test_a_negative_ground_set_is_invalid():

@@ -384,6 +384,7 @@ def test_jobs_below_one_are_refused_while_parsing(monkeypatch, capsys, value):
         (["faces", "--in", "SIMPLEX22"], "need <= 2^20", None),
         (["murai", "--in", "CAPS40"], "need <= 10^5", None),
         (["murai-ideal", "--in", "CAPS40"], "need <= 10^5", None),
+        (["murai", "--in", "CAPS200"], "need <= 64", None),
         (["cubical", "--in", "OCTAHEDRON4", "--homology"], "need m <= 5", None),
         (["census", "--m", "-1"], "ground-set size must be nonnegative, got -1", None),
         (["bier", "--in", "VOID8000"], "need m <= 64", (jsonio, "make_complex")),
@@ -398,7 +399,7 @@ def test_jobs_below_one_are_refused_while_parsing(monkeypatch, capsys, value):
         (["bier", "--in", "OCTAHEDRON8"], "need <= 2^14 facets", (duality, "Complex")),
         (["classify", "--in", "OCTAHEDRON8"], "need <= 2^14 facets", (duality, "Complex")),
     ],
-    ids=["dual", "bier", "classify", "faces", "murai", "murai-ideal", "cubical",
+    ids=["dual", "bier", "classify", "faces", "murai", "murai-ideal", "murai-caps-200", "cubical",
          "census", "bier-json-m8000",
          "cross-polytope-11", "cycle-100000", "simplex-100000", "truncation-sphere-48-48",
          "truncation-sphere-64-64", "bier-cross-polytope-8", "classify-cross-polytope-8"],
@@ -411,6 +412,8 @@ def test_exponential_and_negative_inputs_exit_2_before_any_work(
     files = {
         "SIMPLEX22": complex_to_dict(complexes.boundary_simplex(22)),
         "CAPS40": {"c": [40] * 5, "max_monomials": [[1] * 5]},
+        # a box of 201 vectors, but a sphere on 201 vertices
+        "CAPS200": {"c": [200], "max_monomials": [[5]]},
         "OCTAHEDRON4": complex_to_dict(complexes.cross_polytope(4)),
         "OCTAHEDRON8": complex_to_dict(complexes.cross_polytope(8)),
         "VOID8000": {"m": 8000, "facets": []},

@@ -24,7 +24,6 @@ from bierlab.cubical import (
     cone_cubulation,
     cubical_homology,
     gw_partition_check,
-    point_membership,
     z_complex,
 )
 from bierlab.duality import alexander_dual, bier_sphere
@@ -115,19 +114,6 @@ def test_cell_symbols():
     )
 
 
-def test_point_membership():
-    k = points(3, 3)
-    assert point_membership((0, 0, 0), k, "nonpositive")
-    assert not point_membership((1, 1, 0), k, "nonpositive")
-    assert point_membership((1, -1, 0), k, "nonpositive")
-    assert point_membership((-1, -1, Fraction(1, 2)), k, "nonnegative") is False
-    assert point_membership((1, 1, -1), k, "nonnegative")
-    with pytest.raises(InvalidInput):
-        point_membership((2, 0, 0), k, "nonpositive")
-    with pytest.raises(InvalidInput):
-        point_membership((0, 0, 0), k, "sideways")
-
-
 def test_gw_partition_check_refuses_a_large_ground_set_before_sweeping(monkeypatch):
     def no_work(k):
         raise AssertionError("the sweep started")
@@ -186,9 +172,6 @@ def test_cubical_homology_refuses_a_characteristic_that_is_not_prime(p):
 
 def test_gw_partition_check_counts(monkeypatch):
     assert gw_partition_check(points(3, 3)) == ()
-    # boundary points with zero coordinates belong to the K side iff the
-    # positive support is a face
-    assert point_membership((1, -1, 0), points(3, 3), "nonpositive")
     # a dual missing the vertex 1: the corner (-1, +1, +1) has positive
     # support {2, 3}, not a face of K, and negative support {1}, not a face
     # of the planted dual, so it lies in neither product

@@ -1,8 +1,9 @@
 import itertools
+import tracemalloc
 
 import pytest
 
-from bierlab.census import compositions, enumerate_multicomplexes
+from bierlab.census import all_labeled_complexes, compositions, enumerate_multicomplexes
 from bierlab.complexes import (
     Complex,
     Isomorphism,
@@ -17,7 +18,7 @@ from bierlab.complexes import (
     minimal_nonfaces,
 )
 from bierlab.duality import FlagKind, bier_sphere, match_flag_family
-from bierlab.errors import InvalidInput, UndefinedDual
+from bierlab.errors import InvalidInput, ResourceLimit, UndefinedDual
 from bierlab.multicomplexes import (
     MonomialIdeal,
     Multicomplex,
@@ -128,6 +129,37 @@ def test_enumeration_and_c_dual_skip_the_per_object_check(monkeypatch):
         c_dual(m)
 
 
+def test_members_refuses_a_large_box_before_building_any_monomial():
+    # caps (400, 400) hold 160,801 vectors, over the 10^5 bound; the boxes
+    # below (399, 399) once filled a set of 160,000 tuples, a 21 MB peak,
+    # before the bound was asked
+    m = mc((400, 400), [(399, 399)])
+    tracemalloc.start()
+    try:
+        with pytest.raises(ResourceLimit, match=r"need <= 10\^5"):
+            m.members()
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 1 << 20
+
+
+def test_multicomplex_of_complex_matches_the_checking_constructor(monkeypatch):
+    labeled = [k for m in (1, 2, 3, 4) for k in all_labeled_complexes(m)]
+    expected = [
+        make_multicomplex((1,) * k.m, [tuple(f >> i & 1 for i in range(k.m)) for f in k.facets])
+        for k in labeled
+    ]
+
+    def refuse(self):
+        raise AssertionError("checked again")
+
+    monkeypatch.setattr(Multicomplex, "__post_init__", refuse)
+    assert [multicomplex_of_complex(k) for k in labeled] == expected
+    with pytest.raises(InvalidInput, match="cap vector entries must be positive"):
+        multicomplex_of_complex(Complex(0, (0,)))
+
+
 def test_c_dual_of_full_rejected():
     with pytest.raises(UndefinedDual):
         c_dual(mc((2,), [(2,)]))
@@ -188,6 +220,15 @@ def test_murai_sphere_facets_are_the_antichain_from_masks_would_keep():
 def test_murai_sphere_of_full_rejected():
     with pytest.raises(UndefinedDual):
         murai_sphere(mc((2,), [(2,)]))
+
+
+def test_murai_sphere_refuses_a_level_set_beyond_the_largest_ground_set():
+    # 64 level-set vertices are the most a complex file may have
+    assert murai_sphere(mc((63,), [(5,)])).m == 64
+    with pytest.raises(ResourceLimit, match="need <= 64"):
+        murai_sphere(mc((64,), [(5,)]))
+    with pytest.raises(ResourceLimit, match="need <= 64"):
+        murai_sphere(mc((40, 30), [(5, 5)]))
 
 
 def test_murai_reduces_to_bier_for_unit_caps():
