@@ -13,9 +13,8 @@ from bierlab import (
     boundary_simplex,
     cycle,
     drop_ghosts,
+    golod_summary,
     hochster_betti,
-    is_min_non_golod_product,
-    is_product_golod,
     koszul_betti_oracle,
     tor_products,
     vertices_of,
@@ -32,10 +31,11 @@ for w in tor_products(square):
 
 print()
 print("== Golod predicates on small spheres ==")
+# golod_summary gives (product-Golod, minimally non-Golod)
 print("Bier(boundary of the 4-simplex) is product-Golod:",
-      is_product_golod(drop_ghosts(bier_sphere(boundary_simplex(4)))))
-print("the hexagon is minimally non-Golod:", is_min_non_golod_product(cycle(6)))
-print("over GF(2) as well:", is_min_non_golod_product(cycle(6), GF2))
+      golod_summary(drop_ghosts(bier_sphere(boundary_simplex(4))))[0])
+print("the hexagon is minimally non-Golod:", golod_summary(cycle(6))[1])
+print("over GF(2) as well:", golod_summary(cycle(6), GF2)[1])
 
 print()
 print("== the full census, m in {3, 4, 5}, over Q and GF(2) ==")

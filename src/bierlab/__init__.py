@@ -11,7 +11,6 @@ from .complexes import (
     cone,
     cross_polytope,
     cycle,
-    deletion,
     drop_ghosts,
     faces,
     full_subcomplex,
@@ -42,7 +41,6 @@ from .duality import (
     match_flag_family,
     match_truncation_family,
     reference_flag_sphere,
-    swap_isomorphism,
 )
 from .errors import BierlabError, InvalidInput, ResourceLimit, UndefinedDual
 from .facevectors import (
@@ -70,15 +68,12 @@ from .tor import (
     GF3,
     QQ,
     BigradedBetti,
-    CohomologyBasis,
     FieldTag,
     TorWitness,
+    golod_summary,
     hochster_betti,
     homology_sphere_check,
-    is_min_non_golod_product,
-    is_product_golod,
     koszul_betti_oracle,
-    reduced_cohomology,
     tor_products,
 )
 from .cubical import (

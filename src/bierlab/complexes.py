@@ -183,20 +183,6 @@ def check_subset_sweep(k: Complex):
         raise ResourceLimit("a sweep over the subsets of [m] visits 2^m of them; need m <= 16")
 
 
-def f_vector_counts(k: Complex) -> tuple[int, ...]:
-    """(f_-1, f_0, ..., f_{dim}) face counts."""
-    counts = [0] * (k.dim + 2)
-    for f in faces(k):
-        counts[f.bit_count()] += 1
-    return tuple(counts)
-
-
-def euler_characteristic(k: Complex) -> int:
-    """Unreduced Euler characteristic (empty face excluded)."""
-    counts = f_vector_counts(k)
-    return sum((-1) ** i * c for i, c in enumerate(counts[1:]))
-
-
 def minimal_nonfaces(k: Complex) -> list[int]:
     """Inclusion-minimal non-faces, sorted by (size, mask): the sets f + {v}
     (f a face, v not in f) that are not faces while every maximal proper
@@ -234,16 +220,9 @@ def compress_mask(mask: int, keep: int) -> int:
     return out
 
 
-def index_map(keep: int) -> dict[int, int]:
-    """New 1-based label -> old 1-based label, for ground set ``keep``."""
-    return {i + 1: v for i, v in enumerate(vertices_of(keep))}
-
-
 def link(k: Complex, s: int) -> Complex:
-    """Link of the face ``s``, re-indexed to a ground set of size m - |s|.
-
-    The retained index map is ``index_map(full_mask ^ s)``.
-    """
+    """Link of the face ``s``, re-indexed to a ground set of size m - |s|:
+    new vertex i is the i-th lowest vertex of [m] - s (``compress_mask``)."""
     if not has_face(k, s):
         raise InvalidInput("link requested at a non-face")
     keep = k.full_mask ^ s
@@ -252,21 +231,12 @@ def link(k: Complex, s: int) -> Complex:
 
 
 def full_subcomplex(k: Complex, i: int) -> Complex:
-    """K restricted to the vertex subset ``i``, re-indexed to |i| ground elements.
-
-    The retained index map is ``index_map(i)``.
-    """
+    """K restricted to the vertex subset ``i``, re-indexed to |i| ground
+    elements: new vertex j is the j-th lowest vertex of ``i`` (``compress_mask``)."""
     if i & ~k.full_mask:
         raise InvalidInput("subset has a vertex beyond the ground set")
     gens = [compress_mask(f & i, i) for f in k.facets]
     return Complex.from_masks(i.bit_count(), gens)
-
-
-def deletion(k: Complex, v: int) -> Complex:
-    """Full subcomplex on [m] minus the ground element ``v`` (1-based)."""
-    if not 1 <= v <= k.m:
-        raise InvalidInput("deleted element outside the ground set")
-    return full_subcomplex(k, k.full_mask ^ (1 << (v - 1)))
 
 
 def drop_ghosts(k: Complex) -> Complex:
@@ -558,28 +528,33 @@ def truncation_sphere(m: int, cuts: int) -> Complex:
     return k
 
 
+# name -> (number of arguments, builder)
 _BUILDERS = {
-    "boundary-simplex": lambda a: boundary_simplex(a[0]),
-    "simplex": lambda a: simplex(a[0]),
-    "cycle": lambda a: cycle(a[0]),
-    "cross-polytope": lambda a: cross_polytope(a[0]),
-    "points": lambda a: points(a[0], a[1]),
-    "void": lambda a: Complex(a[0], (0,)),
-    "nerve-q23": lambda a: nerve_q2_3(),
-    "truncation-sphere": lambda a: truncation_sphere(a[0], a[1]),
+    "boundary-simplex": (1, boundary_simplex),
+    "simplex": (1, simplex),
+    "cycle": (1, cycle),
+    "cross-polytope": (1, cross_polytope),
+    "points": (2, points),
+    "void": (1, lambda m: Complex(m, (0,))),
+    "nerve-q23": (0, nerve_q2_3),
+    "truncation-sphere": (2, truncation_sphere),
 }
 
 
 def standard_complex(spec: str) -> Complex:
     """Builder lookup for strings like 'cycle:6', 'points:3,3', 'nerve-q23'.
-    No argument may exceed ``MAX_GROUND``."""
+    A builder takes exactly its own number of arguments, none above
+    ``MAX_GROUND``."""
     name, _, argstr = spec.partition(":")
     if name not in _BUILDERS:
         raise InvalidInput(f"unknown builder {name!r}; choose from {sorted(_BUILDERS)}")
+    arity, build = _BUILDERS[name]
     try:
         args = [int(a) for a in argstr.split(",") if a]
+        if len(args) != arity:
+            raise InvalidInput(f"{name!r} takes {arity} arguments")
         if any(n > MAX_GROUND for n in args):
             raise ResourceLimit(f"{spec!r}: need each argument <= {MAX_GROUND}")
-        return _BUILDERS[name](args)
-    except (IndexError, ValueError) as exc:
+        return build(*args)
+    except ValueError as exc:
         raise InvalidInput(f"bad arguments for builder {name!r}: {argstr!r}") from exc

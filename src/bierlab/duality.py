@@ -14,7 +14,6 @@ from dataclasses import dataclass
 
 from .complexes import (
     Complex,
-    Isomorphism,
     are_isomorphic,
     boundary_simplex,
     cross_polytope,
@@ -22,7 +21,6 @@ from .complexes import (
     faces,
     is_flag,
     join,
-    maps_facets_onto,
     maximal,
     minimal_nonfaces,
     nerve_q2_3,
@@ -109,17 +107,6 @@ def bier_nonface_generators(k: Complex) -> list[int]:
     gens += [s << m for s in minimal_nonfaces(dual)]
     gens += [(1 << i) | (1 << (m + i)) for i in range(m)]
     return sorted(set(gens), key=lambda x: (x.bit_count(), x))
-
-
-def swap_isomorphism(k: Complex) -> Isomorphism:
-    """The unprimed/primed swap i <-> i', an isomorphism from the Bier
-    sphere of ``k`` onto the Bier sphere of its dual."""
-    m = k.m
-    mapping = tuple(list(range(m + 1, 2 * m + 1)) + list(range(1, m + 1)))
-    iso = Isomorphism(mapping)
-    if not maps_facets_onto(iso, bier_sphere(k), bier_sphere(alexander_dual(k))):
-        raise AssertionError("swap failed to map the Bier sphere onto its dual's")
-    return iso
 
 
 # ---------------------------------------------------------------------------

@@ -7,7 +7,7 @@ from __future__ import annotations
 import itertools
 import math
 
-from .complexes import Complex, f_vector_counts, is_flag
+from .complexes import Complex, faces, is_flag
 from .errors import InvalidInput, ResourceLimit
 
 
@@ -26,8 +26,12 @@ def _poly_pow(base: list[int], e: int) -> list[int]:
     return out
 
 
-# (f_-1, f_0, ..., f_{n-1}) with f_-1 = 1
-f_vector = f_vector_counts
+def f_vector(k: Complex) -> tuple[int, ...]:
+    """(f_-1, f_0, ..., f_{dim}) face counts, with f_-1 = 1."""
+    counts = [0] * (k.dim + 2)
+    for f in faces(k):
+        counts[f.bit_count()] += 1
+    return tuple(counts)
 
 
 def h_vector(k: Complex) -> tuple[int, ...]:
@@ -116,8 +120,3 @@ def realize_gamma_as_flag_f(gamma) -> Complex | None:
         assert f_vector(witness) == target and is_flag(witness)
         return witness
     return None
-
-
-def h_polynomial_product(h1: tuple[int, ...], h2: tuple[int, ...]) -> tuple[int, ...]:
-    """h-vector of a join is the product of h-polynomials."""
-    return tuple(_poly_mul(list(h1), list(h2)))

@@ -51,8 +51,13 @@ def multicomplex_from_dict(d: dict) -> Multicomplex:
 
 
 def load_json(path: str) -> dict:
-    with open(path, "r", encoding="utf-8") as fh:
-        return json.load(fh)
+    try:
+        with open(path, "r", encoding="utf-8") as fh:
+            return json.load(fh)
+    except OSError as exc:
+        raise InvalidInput(f"cannot read {path}: {exc.strerror}") from exc
+    except (ValueError, RecursionError) as exc:  # not UTF-8, not JSON, or nested too deep
+        raise InvalidInput(f"{path} is not a JSON file: {exc}") from exc
 
 
 def load_complex(path: str) -> Complex:
@@ -68,5 +73,8 @@ def dump_json(data, path: str | None):
     if path is None:
         print(text)
     else:
-        with open(path, "w", encoding="utf-8") as fh:
-            fh.write(text + "\n")
+        try:
+            with open(path, "w", encoding="utf-8") as fh:
+                fh.write(text + "\n")
+        except OSError as exc:
+            raise InvalidInput(f"cannot write {path}: {exc.strerror}") from exc

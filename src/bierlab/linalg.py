@@ -1,19 +1,18 @@
 """Exact linear algebra over the rationals and prime fields.
 
-Matrices are lists of rows; input entries are ints (the boundary matrices
-of this package, all built by ``boundary_matrix``, are integer matrices).
-Characteristic 0 means the rationals, computed fraction-free on ints:
-ranks use Bareiss elimination, and echelon forms keep primitive integer
-rows, each a positive multiple of its reduced-row-echelon row.
-Characteristic p works modulo p, with a bitmask fast path for p = 2 ranks.
-No floating point anywhere; ``Fraction`` appears only in ``rref_row``.
+Matrices are lists of rows and vectors are lists; every entry is an int
+(the boundary matrices of this package, all built by ``boundary_matrix``,
+are integer matrices).  Characteristic 0 means the rationals, computed
+fraction-free: ranks use Bareiss elimination, and echelon forms keep
+primitive integer rows, each a positive multiple of its reduced-row-echelon
+row.  Characteristic p works modulo p, with a bitmask fast path for p = 2
+ranks.  No floating point and no ``Fraction`` anywhere.
 """
 
 from __future__ import annotations
 
 import bisect
 import math
-from fractions import Fraction
 
 from .errors import InvalidInput
 
@@ -163,15 +162,6 @@ def homology_ranks(graded, boundary, p: int) -> list[int]:
 # (p = 0), residues in [0, p) over GF(p).
 
 
-def to_field(vec, p):
-    """Ints for the echelon: over the rationals a positive multiple of
-    ``vec`` clearing its denominators, over GF(p) its residues."""
-    if p == 0:
-        d = math.lcm(*(x.denominator for x in vec))
-        return [x.numerator * (d // x.denominator) for x in vec]
-    return [x % p for x in vec]
-
-
 def _normalize(vec, lead_col, p):
     """The canonical multiple of ``vec``: pivot 1 over GF(p); over the
     rationals the primitive integer row (entries of gcd 1), pivot positive."""
@@ -183,14 +173,6 @@ def _normalize(vec, lead_col, p):
         return vec
     inv = pow(lead, p - 2, p)
     return [(x * inv) % p for x in vec]
-
-
-def rref_row(row, p) -> tuple:
-    """An echelon row scaled to its reduced-row-echelon row, pivot 1."""
-    if p:
-        return tuple(row)
-    lead = next(x for x in row if x)
-    return tuple(Fraction(x, lead) for x in row)
 
 
 class Echelon:
@@ -225,7 +207,7 @@ class Echelon:
     def residual(self, vec) -> list[int]:
         """Reduce ``vec`` against the basis: the residual over GF(p), a
         positive integer multiple of it over the rationals."""
-        v = to_field(vec, self.p)
+        v = [x % self.p for x in vec] if self.p else list(vec)
         for row, piv in zip(self.rows, self.pivots):
             if v[piv]:
                 v = self._clear(v, row, piv)

@@ -188,13 +188,6 @@ def block_offsets(c: tuple[int, ...]) -> list[int]:
     return offs
 
 
-def murai_vertex(c: tuple[int, ...], i: int, j: int) -> int:
-    """1-based flattened label of level j of variable block i (0-based i)."""
-    if not 0 <= j <= c[i]:
-        raise InvalidInput(f"level {j} outside block {i} of caps {c}")
-    return block_offsets(c)[i] + j + 1
-
-
 def murai_vertex_labels(c: tuple[int, ...]) -> list[str]:
     return [f"x{i + 1}^({j})" for i in range(len(c)) for j in range(c[i] + 1)]
 

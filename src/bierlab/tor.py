@@ -61,35 +61,6 @@ def _cohomology_ranks(groups: list[list[int]], p: int) -> dict[int, int]:
     return {s - 1: h for s, h in enumerate(ranks) if h}
 
 
-@dataclass
-class CohomologyBasis:
-    """Ranks and echelonized cocycle representatives of reduced cohomology."""
-
-    field: FieldTag
-    ranks: dict[int, int]
-    simplex_basis: dict[int, tuple[int, ...]]
-    representatives: dict[int, list[tuple]]
-
-
-def reduced_cohomology(k: Complex, f: FieldTag = QQ) -> CohomologyBasis:
-    """Reduced simplicial cohomology of ``k`` over ``f`` with representatives.
-
-    The void complex has rank 1 in degree -1.  Ghost ground elements do not
-    contribute (cohomology is computed from the faces).
-    """
-    sc = subset_cohomology(k, f)
-    j_mask = k.full_mask
-    ranks = dict(sc.ranks(j_mask))
-    groups = sc.groups(j_mask)
-    basis = {deg: tuple(groups[deg + 1]) for deg in ranks}
-    reps = {
-        deg: [linalg.rref_row(v, f.p) for v in sc.representatives(j_mask, deg + 1)]
-        for deg in ranks
-    }
-    assert all(len(reps[deg]) == r for deg, r in ranks.items())
-    return CohomologyBasis(f, ranks, basis, reps)
-
-
 def homology_sphere_check(k: Complex, n: int) -> bool:
     """True iff the link of every face (the empty one included) has the
     reduced rational homology of a sphere of dimension n - 1 - |face|."""
@@ -401,17 +372,6 @@ def tor_products(k: Complex, f: FieldTag = QQ) -> list[TorWitness]:
     nonempty vertex subsets, in deterministic order."""
     check_subset_sweep(k)
     return subset_cohomology(k, f).witnesses(k.full_mask)
-
-
-def is_product_golod(k: Complex, f: FieldTag = QQ) -> bool:
-    """True iff every pairwise product of positive-degree classes vanishes."""
-    check_subset_sweep(k)
-    return not subset_cohomology(k, f).has_witness(k.full_mask)
-
-
-def is_min_non_golod_product(k: Complex, f: FieldTag = QQ) -> bool:
-    """Not product-Golod, but every single-element deletion is."""
-    return golod_summary(k, f)[1]
 
 
 def golod_summary(k: Complex, f: FieldTag = QQ) -> tuple[bool, bool]:

@@ -463,6 +463,41 @@ def test_json_numbers_other_than_integers_exit_2(tmp_path, monkeypatch, capsys, 
     assert len(lines) == 1 and lines[0].startswith("error: ") and "expected an integer" in lines[0]
 
 
+VALID_INPUT = {
+    "bier": {"m": 2, "facets": [[1], [2]]},
+    "murai": {"c": [2, 1], "max_monomials": [[1, 0], [0, 1]]},
+}
+
+
+@pytest.mark.parametrize(
+    "case", ["missing", "truncated", "directory", "not-utf8", "too-deep", "out-dir-missing"]
+)
+@pytest.mark.parametrize("command", sorted(VALID_INPUT))
+def test_a_file_that_cannot_be_read_or_written_exits_2(tmp_path, monkeypatch, capsys, command, case):
+    # each ended in a traceback and exit 1, the code verify keeps for counterexamples
+    path = tmp_path / "in.json"
+    named = path
+    argv = ["bierlab", command, "--in", str(path), "--no-cache"]
+    if case == "truncated":
+        path.write_text('{"m": 3, "fac')
+    elif case == "directory":
+        path.mkdir()
+    elif case == "not-utf8":
+        path.write_bytes(b"\xff\xfe{}")
+    elif case == "too-deep":
+        path.write_text("[" * 200_000 + "]" * 200_000)
+    elif case == "out-dir-missing":
+        path.write_text(json.dumps(VALID_INPUT[command]))
+        named = tmp_path / "missing" / "out.json"
+        argv += ["--out", str(named)]
+    monkeypatch.setattr(sys, "argv", argv)
+    with pytest.raises(SystemExit) as exc:
+        main()
+    assert exc.value.code == 2
+    lines = capsys.readouterr().err.splitlines()
+    assert len(lines) == 1 and lines[0].startswith("error: ") and str(named) in lines[0]
+
+
 def test_one_parser_serves_every_run_and_no_option_outlives_its_run(tmp_path):
     assert build_parser() is build_parser()
     k = tmp_path / "k.json"

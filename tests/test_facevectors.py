@@ -7,7 +7,6 @@ from bierlab.complexes import (
     boundary_simplex,
     cross_polytope,
     cycle,
-    euler_characteristic,
     is_flag,
     join,
     make_complex,
@@ -17,7 +16,6 @@ from bierlab.errors import InvalidInput, ResourceLimit
 from bierlab.facevectors import (
     f_vector,
     gamma_vector,
-    h_polynomial_product,
     h_vector,
     is_dehn_sommerville,
     realize_gamma_as_flag_f,
@@ -80,7 +78,8 @@ def test_realize_gamma_refuses_a_huge_search_before_starting(monkeypatch):
 
 def test_h_polynomial_of_join_is_the_product():
     for a, b in [(points(2, 2), points(2, 2)), (cycle(5), points(2, 2)), (cycle(6), cycle(4))]:
-        assert h_vector(join(a, b)) == h_polynomial_product(h_vector(a), h_vector(b))
+        product = facevectors._poly_mul(list(h_vector(a)), list(h_vector(b)))
+        assert h_vector(join(a, b)) == tuple(product)
 
 
 def test_top_h_entry_tracks_euler_characteristic():
@@ -88,5 +87,5 @@ def test_top_h_entry_tracks_euler_characteristic():
         for k in enumerate_complexes(m, include_simplex=False):
             h = h_vector(k)
             n = len(h) - 1
-            reduced_euler = euler_characteristic(k) - 1
+            reduced_euler = -sum((-1) ** i * c for i, c in enumerate(f_vector(k)))
             assert h[-1] == (-1) ** (n + 1) * reduced_euler

@@ -37,7 +37,6 @@ from bierlab.complexes import (
     cross_polytope,
     cycle,
     drop_ghosts,
-    f_vector_counts,
     faces,
     format_key,
     link,
@@ -47,6 +46,7 @@ from bierlab.complexes import (
     vertices_of,
 )
 from bierlab.duality import bier_sphere
+from bierlab.facevectors import f_vector
 from bierlab.multicomplexes import Multicomplex, make_multicomplex, murai_sphere
 
 SETTINGS = settings(max_examples=150, deadline=None)
@@ -90,7 +90,7 @@ def _retired_vertex_invariants(k: Complex):
     for v in range(1, k.m + 1):
         b = 1 << (v - 1)
         if any(f & b for f in k.facets):
-            link_fv.append(f_vector_counts(link(k, b)))
+            link_fv.append(f_vector(link(k, b)))
         else:
             link_fv.append(())
     base = [(tuple(sorted(fsizes[v])), link_fv[v]) for v in range(k.m)]

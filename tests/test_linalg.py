@@ -95,7 +95,9 @@ def test_echelon_and_nullspace_match_gauss_jordan(case):
     for row in rows:
         ech.add(row)
     assert ech.pivots == pivots
-    assert [linalg.rref_row(row, p) for row in ech.rows] == rref
+    # each row scaled to pivot 1 is its reduced-row-echelon row
+    assert [tuple(Fraction(x, row[piv]) if p == 0 else x for x in row)
+            for row, piv in zip(ech.rows, ech.pivots)] == rref
     for row, piv in zip(ech.rows, ech.pivots):
         assert all(type(x) is int for x in row)
         if p == 0:

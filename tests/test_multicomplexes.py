@@ -23,13 +23,14 @@ from bierlab.multicomplexes import (
     MonomialIdeal,
     Multicomplex,
     bier_relabeling_to_murai,
+    block_offsets,
     c_dual,
     make_multicomplex,
     minimal_nonmembers,
     multicomplex_of_complex,
     murai_face_ideal,
     murai_sphere,
-    murai_vertex,
+    murai_vertex_labels,
     nonmember_ideal,
     polarize,
     squarefree_support_masks,
@@ -177,11 +178,10 @@ def test_polarize_examples():
 
 
 def test_murai_vertex_flattening():
+    # level j of block i is vertex block_offsets(c)[i] + j + 1
     caps = (2, 1)
-    assert [murai_vertex(caps, 0, j) for j in range(3)] == [1, 2, 3]
-    assert [murai_vertex(caps, 1, j) for j in range(2)] == [4, 5]
-    with pytest.raises(InvalidInput):
-        murai_vertex(caps, 1, 2)
+    assert block_offsets(caps) == [0, 3, 5]
+    assert murai_vertex_labels(caps) == ["x1^(0)", "x1^(1)", "x1^(2)", "x2^(0)", "x2^(1)"]
 
 
 def test_murai_sphere_pentagon():

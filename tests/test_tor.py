@@ -1,5 +1,3 @@
-from fractions import Fraction
-
 import pytest
 
 from bierlab import linalg
@@ -28,10 +26,7 @@ from bierlab.tor import (
     golod_summary,
     hochster_betti,
     homology_sphere_check,
-    is_min_non_golod_product,
-    is_product_golod,
     koszul_betti_oracle,
-    reduced_cohomology,
     subset_cohomology,
     tor_products,
 )
@@ -46,36 +41,41 @@ def spheres_census(max_m):
     return out
 
 
+def reduced_ranks(k, f=QQ):
+    """Reduced cohomology ranks of ``k`` itself, the full subcomplex on [m]."""
+    return subset_cohomology(k, f).ranks(k.full_mask)
+
+
 def test_reduced_cohomology_examples():
-    assert reduced_cohomology(cycle(4), QQ).ranks == {1: 1}
-    assert reduced_cohomology(points(2, 2), QQ).ranks == {0: 1}
-    assert reduced_cohomology(Complex(3, (0,)), QQ).ranks == {-1: 1}
+    assert reduced_ranks(cycle(4)) == {1: 1}
+    assert reduced_ranks(points(2, 2)) == {0: 1}
+    assert reduced_ranks(Complex(3, (0,))) == {-1: 1}
 
 
 def test_representatives_are_cocycles_and_independent():
     cases = [(cycle(6), QQ), (RP2, GF2), (RP2_MINUS_TWO, QQ), (RP2_MINUS_TWO, GF3)]
     for k, field in cases:
-        basis = reduced_cohomology(k, field)
+        sc = subset_cohomology(k, field)
         table = SubsetCohomology(k, field)
         groups = table.groups(k.full_mask)
-        assert basis.ranks
-        for deg, r in basis.ranks.items():
+        assert sc.ranks(k.full_mask)
+        for deg, r in sc.ranks(k.full_mask).items():
             size = deg + 1
-            reps = basis.representatives[deg]
+            reps = sc.representatives(k.full_mask, size)
             assert len(reps) == r
             image = table.image_echelon(k.full_mask, size)
             for rep in reps:
-                assert len(rep) == len(basis.simplex_basis[deg]) == len(groups[size])
+                assert len(rep) == len(groups[size])
                 assert not any(_delta_of(groups, size, rep, field.p))
                 # independent modulo the coboundaries
                 assert image.add(rep) is not None
-    # the exact echelonized values: pivot 1, the rest Fractions
-    reps = reduced_cohomology(RP2_MINUS_TWO, QQ).representatives
-    assert all(type(x) is Fraction for v in reps[1] for x in v)
-    assert reps == {1: [
+    # the exact echelon rows: primitive integer rows, here with pivot 1
+    reps = subset_cohomology(RP2_MINUS_TWO, QQ).representatives(RP2_MINUS_TWO.full_mask, 2)
+    assert all(type(x) is int for v in reps for x in v)
+    assert [tuple(v) for v in reps] == [
         (0, 0, 0, 0, 0, 1, 0, 1, 0, 0, 0, 0, 1, 0, 0),
         (0, 0, 0, 0, 0, 0, 1, -1, 0, 0, -1, -1, -2, -1, 0),
-    ]}
+    ]
 
 
 def test_field_tag_validation():
@@ -127,7 +127,7 @@ def test_resource_limits():
     with pytest.raises(ResourceLimit):
         koszul_betti_oracle(Complex(11, (0,)))
     with pytest.raises(ResourceLimit):
-        is_product_golod(Complex(17, (0,)))
+        golod_summary(Complex(17, (0,)))
 
 
 def test_tor_products_four_cycle_witness():
@@ -152,17 +152,17 @@ def test_ghost_classes_participate_in_products():
 
 
 def test_golod_predicates():
-    assert is_product_golod(drop_ghosts(bier_sphere(boundary_simplex(4))))
-    assert is_min_non_golod_product(cycle(6))
-    assert is_min_non_golod_product(cycle(4))
-    assert not is_product_golod(cycle(4))
+    # golod_summary is (product-Golod, minimally non-Golod)
+    assert golod_summary(drop_ghosts(bier_sphere(boundary_simplex(4)))) == (True, False)
+    assert golod_summary(cycle(6)) == (False, True)
+    assert golod_summary(cycle(4)) == (False, True)
     # a sphere that is not a simplex boundary is never product-Golod
     for sphere in spheres_census(4):
         simplexish = sphere.facets == (0,) or all(
             f.bit_count() == sphere.m - 1 for f in sphere.facets
         ) and len(sphere.facets) == sphere.m
         if not simplexish:
-            assert not is_product_golod(sphere)
+            assert not golod_summary(sphere)[0]
 
 
 def test_field_independence_on_small_spheres():
@@ -248,7 +248,7 @@ def test_product_classes_survive_representative_perturbation(rng):
                                     groups[sa + 1], lower, _boundary
                                 )
                                 col = rng.randrange(len(lower))
-                                scale = Fraction(rng.randint(1, 3))
+                                scale = rng.randint(1, 3)
                                 # row col: the coboundary of lower[col]
                                 perturbed = [
                                     x + scale * y
@@ -295,8 +295,8 @@ def test_betti_golod_and_witnesses_share_one_sweep(monkeypatch):
 
 
 def test_subset_table_is_keyed_by_complex_and_field():
-    assert reduced_cohomology(RP2, QQ).ranks == {}
-    assert reduced_cohomology(RP2, GF2).ranks == {1: 1, 2: 1}
+    assert reduced_ranks(RP2, QQ) == {}
+    assert reduced_ranks(RP2, GF2) == {1: 1, 2: 1}
     tables = []
     for tag in (QQ, GF2, QQ):
         table = hochster_betti(RP2, tag).table
